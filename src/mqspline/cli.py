@@ -37,14 +37,11 @@ from .minquad import arc_length_closed, build_solution, cubic_roots, tangent_at_
 from .pointsets import BENCHMARK_SETS
 from .spline import (
     COMPARISON_METHODS,
-    Cardinal,
-    CatmullRom,
-    KochanekBartels,
-    MinEnergyQuad,
     TangentMethod,
     build_spline,
     chord_length_knots,
     middle_segment_index,
+    parse_method,
     uniform_knots,
 )
 from .svg import render_spline_svg
@@ -100,8 +97,11 @@ def load_point_set(path: str, fmt: Optional[str] = None) -> PointSetFile:
     """Load a CSV ("x,y" per line, optional header) or JSON point-set file."""
     if fmt is None:
         fmt = "json" if path.lower().endswith(".json") else "csv"
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read {path!r}: {exc}") from None
     name = os.path.splitext(os.path.basename(path))[0]
     if fmt == "json":
         return _load_json(text, name)
@@ -129,6 +129,12 @@ def _load_csv(text: str, name: str) -> PointSetFile:
     return _validate_point_set(name, points, None)
 
 
+def _is_finite_number(value) -> bool:
+    """A JSON number within the float range; true and false are not numbers."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
 def _load_json(text: str, fallback_name: str) -> PointSetFile:
     try:
         doc = json.loads(text)
@@ -143,43 +149,15 @@ def _load_json(text: str, fallback_name: str) -> PointSetFile:
     points = []
     for i, entry in enumerate(raw_points):
         if (not isinstance(entry, (list, tuple)) or len(entry) != 2
-                or not all(isinstance(v, (int, float)) for v in entry)):
+                or not all(_is_finite_number(v) for v in entry)):
             raise ValidationError(f"points[{i}] is not a numeric [x, y] pair")
         points.append(Vec2(float(entry[0]), float(entry[1])))
     knots = doc.get("knots")
     if knots is not None:
-        if not isinstance(knots, list) or not all(isinstance(v, (int, float)) for v in knots):
+        if not isinstance(knots, list) or not all(_is_finite_number(v) for v in knots):
             raise ValidationError("'knots' must be an array of numbers")
         knots = tuple(float(v) for v in knots)
     return _validate_point_set(name, points, knots)
-
-
-def parse_method(spec: str) -> tuple[str, TangentMethod]:
-    """Parse a method spec: min-energy | catmull-rom | cardinal=T | kb=T,B,G."""
-    head, _, args = spec.partition("=")
-    head = head.strip().lower()
-    if head in ("min-energy", "ours"):
-        return "min-energy", MinEnergyQuad()
-    if head == "catmull-rom":
-        return "catmull-rom", CatmullRom()
-    if head == "cardinal":
-        tau = float(args) if args else 0.0
-        return f"cardinal(t={tau:g})", Cardinal(tension=tau)
-    if head in ("kb", "kochanek-bartels"):
-        vals = [float(v) for v in args.split(",")] if args else []
-        vals += [0.0] * (3 - len(vals))
-        tau, bias, cont = vals[:3]
-        return (f"kochanek-bartels(t={tau:g},b={bias:g},g={cont:g})",
-                KochanekBartels(tension=tau, bias=bias, continuity=cont))
-    raise ValidationError(f"unknown method {spec!r}")
-
-
-def _method_params(method: TangentMethod) -> str:
-    if isinstance(method, Cardinal):
-        return f"tension={method.tension:g}"
-    if isinstance(method, KochanekBartels):
-        return f"tension={method.tension:g};bias={method.bias:g};continuity={method.continuity:g}"
-    return ""
 
 
 def _knots_for(points, convention: str, explicit=None):
@@ -243,15 +221,15 @@ def compute_comparison(point_sets: Sequence[PointSetFile],
         mid = middle_segment_index(len(ps.points))
         for mname, method in methods:
             try:
-                sp = build_spline(ps.points, knots, method)
-                ev = sp.segment_evaluator(mid)
+                ev = build_spline(ps.points, knots, method).segment_evaluator(mid)
                 energy = segment_energy(ev, knots[mid], knots[mid + 1], quadrature)
                 variation = segment_variation(ev, knots[mid], knots[mid + 1], quadrature)
-                cells.append(ReportCell(ps.name, mname, _method_params(method),
-                                        energy, variation, convention, "ok"))
+                status = "ok"
             except MqsError as exc:
-                cells.append(ReportCell(ps.name, mname, _method_params(method),
-                                        None, None, convention, f"failed: {exc}"))
+                energy = variation = None
+                status = f"failed: {exc}"
+            cells.append(ReportCell(ps.name, mname, method.params,
+                                    energy, variation, convention, status))
     return cells
 
 
@@ -281,26 +259,19 @@ def render_report_text(cells: Sequence[ReportCell]) -> str:
     return header + "\n" + "\n".join(out) + "\n"
 
 
-def _builtin_point_sets() -> list[PointSetFile]:
-    return [PointSetFile(name=name, points=pts) for name, pts in BENCHMARK_SETS.items()]
-
-
 def cmd_compare(args) -> int:
     if args.preset == "table1":
-        point_sets = _builtin_point_sets()
-        methods = list(COMPARISON_METHODS)
-    else:
-        if not args.paths:
-            raise ValidationError("no point-set files given (or use --preset table1)")
+        point_sets = [PointSetFile(name=name, points=pts) for name, pts in BENCHMARK_SETS.items()]
+    elif args.paths:
         point_sets = [load_point_set(p) for p in args.paths]
-        methods = [parse_method(m) for m in args.methods.split("+")] if args.methods \
-            else list(COMPARISON_METHODS)
+    else:
+        raise ValidationError("no point-set files given (or use --preset table1)")
+    methods = [parse_method(m) for m in args.methods.split("+")] if args.methods \
+        else COMPARISON_METHODS
     quadrature = QuadratureConfig(rel_tol=args.tol_rel, abs_tol=args.tol_abs)
     cells = compute_comparison(point_sets, methods, args.knots, quadrature)
-    if args.format == "csv":
-        sys.stdout.write(render_report_csv(cells))
-    else:
-        sys.stdout.write(render_report_text(cells))
+    render = render_report_csv if args.format == "csv" else render_report_text
+    sys.stdout.write(render(cells))
     return 1 if any(c.status != "ok" for c in cells) else 0
 
 
@@ -357,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="compare tangent methods on point sets")
     p_cmp.add_argument("paths", nargs="*", help="point-set files (CSV or JSON)")
     p_cmp.add_argument("--preset", choices=("table1",),
-                       help="use the built-in benchmark sets and the six published methods")
+                       help="built-in benchmark sets; the six published methods unless --methods")
     p_cmp.add_argument("--methods",
                        help="'+'-separated methods, e.g. min-energy+catmull-rom+cardinal=0.5")
     p_cmp.set_defaults(func=cmd_compare)
@@ -379,7 +350,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = build_parser().parse_args(argv)
         return args.func(args)
     except (ParseError, ValidationError, CollinearPoints, CoincidentEndpoints,
-            DomainError, TooFewPoints, FileNotFoundError) as exc:
+            DomainError, TooFewPoints) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (QuadratureDivergence, MqsError) as exc:

@@ -16,7 +16,7 @@ from typing import Protocol, Sequence, runtime_checkable
 
 from scipy.integrate import IntegrationWarning, quad
 
-from .errors import QuadratureDivergence, ZeroSpeed
+from .errors import DomainError, QuadratureDivergence, ZeroSpeed
 from .geometry import Vec2
 from .minquad import QuadraticCurve
 
@@ -82,10 +82,10 @@ class QuadratureConfig:
     max_depth: int = 50
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("quadrature tolerances must be positive")
+        if not (self.rel_tol > 0 and self.abs_tol > 0):
+            raise DomainError("quadrature tolerances must be positive")
         if self.max_depth < 1:
-            raise ValueError("max subdivision depth must be >= 1")
+            raise DomainError("max subdivision depth must be >= 1")
 
 
 DEFAULT_QUADRATURE = QuadratureConfig()

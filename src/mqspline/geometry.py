@@ -113,7 +113,6 @@ def normalize_triple(p1: Point2, p2: Point2, p3: Point2) -> NormalizedTriple:
     # Rotation built directly from the scaled endpoint, no angle extraction.
     c = s3.x / scale
     s = s3.y / scale
-    rotation = ((c, s), (-s, c))
-    frame = NormalizedTriple(q2=Vec2(0.0, 0.0), translation=p1, scale=scale, rotation=rotation)
-    q2 = frame.to_canonical(p2)
-    return NormalizedTriple(q2=q2, translation=p1, scale=scale, rotation=rotation)
+    d = (p2 - p1) / scale
+    q2 = Vec2(c * d.x + s * d.y, -s * d.x + c * d.y)
+    return NormalizedTriple(q2=q2, translation=p1, scale=scale, rotation=((c, s), (-s, c)))

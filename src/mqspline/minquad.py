@@ -87,24 +87,19 @@ def cubic_roots(q2: Vec2) -> CubicSolve:
     """
     n2 = q2.norm2()
     c = q2.x - n2
-    d = 0.5 * n2
     # Depress with T = u + 1/2: u^3 + p u + qd = 0.
     p = c - 0.75
-    qd = -0.25 + 0.5 * c + d
+    qd = -0.25 + 0.5 * c + 0.5 * n2
     beta = 1.0 - 2.0 * q2.x
     gamma = (4.0 * c - 3.0) ** 3 / 27.0
 
-    if p < 0.0:
-        m = 2.0 * math.sqrt(-p / 3.0)
-        arg = 3.0 * qd / (p * m)
-        arg = min(1.0, max(-1.0, arg))
-        theta = math.acos(arg)
-        roots = [0.5 + m * math.cos(theta / 3.0 - 2.0 * math.pi * k / 3.0) for k in range(3)]
-    else:
-        # Should not occur for non-collinear normalized input; numpy handles
-        # the one-real-root case without branch bookkeeping.
-        rr = np.roots([1.0, -1.5, c, d])
-        roots = sorted(float(r.real) for r in rr)
+    # p = -(q2.x - 1/2)^2 - q2.y^2 - 1/2 <= -1/2 for every finite q2, so the
+    # cubic always has three real roots and the trigonometric form applies.
+    m = 2.0 * math.sqrt(-p / 3.0)
+    arg = 3.0 * qd / (p * m)
+    arg = min(1.0, max(-1.0, arg))
+    theta = math.acos(arg)
+    roots = [0.5 + m * math.cos(theta / 3.0 - 2.0 * math.pi * k / 3.0) for k in range(3)]
 
     polished = []
     for r in roots:

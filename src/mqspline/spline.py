@@ -4,39 +4,89 @@ Interior tangents come from one of four rules: the chord rule
 (Catmull-Rom), the tension-scaled chord (Cardinal), the Kochanek-Bartels
 blend, or the tangent of the minimum-energy quadratic through each triple
 of consecutive points.  A single tangent per knot is shared by adjoining
-segments, so every spline here is C1.
+segments, so every spline here is C1.  A new tangent method is a
+TangentMethod subclass plus a METHOD_SPECS row, both in this module.
 """
 
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
-from typing import Sequence, Union
+import math
+from dataclasses import astuple, dataclass, fields
+from typing import Optional, Sequence
 
-from .errors import CollinearPoints, DomainError, TooFewPoints
+from .errors import CoincidentEndpoints, CollinearPoints, DomainError, TooFewPoints, ValidationError
 from .geometry import Point2, Vec2
-from .minquad import build_solution, tangent_at_p2
+from .minquad import MinQuadSolution, build_solution, tangent_at_p2
+
+
+class TangentMethod:
+    """Base of the tangent methods.  Each subclass defines the tangent at p_i
+    from its neighbours and their knots: interior(p_prev, p_i, p_next, t_prev, t_next)."""
+
+    def endpoints(self, points: Sequence[Point2], knots: Sequence[float]) -> tuple[Vec2, Vec2]:
+        """First and last tangents: the one-sided chords."""
+        return ((points[1] - points[0]) / (knots[1] - knots[0]),
+                (points[-1] - points[-2]) / (knots[-1] - knots[-2]))
+
+    @property
+    def params(self) -> str:
+        """The report's params column: name=value per field, ';'-separated."""
+        return ";".join(f"{f.name}={getattr(self, f.name):g}" for f in fields(self))
+
+
+def _min_energy_quadratic(p1: Point2, p2: Point2, p3: Point2) -> Optional[MinQuadSolution]:
+    """The minimum-energy quadratic through a triple, or None where none exists."""
+    try:
+        return build_solution(p1, p2, p3)
+    except (CollinearPoints, CoincidentEndpoints):
+        return None
 
 
 @dataclass(frozen=True)
-class MinEnergyQuad:
-    """Tangents from the minimum-energy quadratic through each point triple."""
+class MinEnergyQuad(TangentMethod):
+    """Tangents from the minimum-energy quadratic through each point triple.
+
+    End tangents are the end velocities of the boundary quadratics over the
+    outer knot span.  A collinear or doubling-back triple has no such
+    quadratic; its chord tangent, the zero-energy limit, is used instead.
+    """
+
+    def interior(self, p_prev, p_i, p_next, t_prev, t_next):
+        sol = _min_energy_quadratic(p_prev, p_i, p_next)
+        if sol is None:
+            return tangent_catmull_rom(p_prev, p_next, t_prev, t_next)
+        return tangent_at_p2(sol) / (t_next - t_prev)
+
+    def endpoints(self, points, knots):
+        first, last = super().endpoints(points, knots)
+        if len(points) < 3:
+            return first, last
+        head, tail = _min_energy_quadratic(*points[:3]), _min_energy_quadratic(*points[-3:])
+        return (first if head is None else head.curve.velocity(0.0) / (knots[2] - knots[0]),
+                last if tail is None else tail.curve.velocity(1.0) / (knots[-1] - knots[-3]))
 
 
 @dataclass(frozen=True)
-class CatmullRom:
+class CatmullRom(TangentMethod):
     """Chord tangents (p_next - p_prev) / (t_next - t_prev)."""
 
+    def interior(self, p_prev, p_i, p_next, t_prev, t_next):
+        return tangent_catmull_rom(p_prev, p_next, t_prev, t_next)
+
 
 @dataclass(frozen=True)
-class Cardinal:
+class Cardinal(TangentMethod):
     """Chord tangents scaled by (1 - tension)."""
 
     tension: float = 0.0
 
+    def interior(self, p_prev, p_i, p_next, t_prev, t_next):
+        return tangent_cardinal(p_prev, p_next, t_prev, t_next, self.tension)
+
 
 @dataclass(frozen=True)
-class KochanekBartels:
+class KochanekBartels(TangentMethod):
     """Tension / bias / continuity blend of the two adjacent chords.
 
     Implemented exactly as the comparison tables were produced: no knot-span
@@ -48,8 +98,10 @@ class KochanekBartels:
     bias: float = 0.0
     continuity: float = 0.0
 
+    def interior(self, p_prev, p_i, p_next, t_prev, t_next):
+        return tangent_kochanek_bartels(p_prev, p_i, p_next,
+                                        self.tension, self.bias, self.continuity)
 
-TangentMethod = Union[MinEnergyQuad, CatmullRom, Cardinal, KochanekBartels]
 
 # Parameter presets matching the published method comparison.
 COMPARISON_METHODS: tuple[tuple[str, TangentMethod], ...] = (
@@ -60,6 +112,33 @@ COMPARISON_METHODS: tuple[tuple[str, TangentMethod], ...] = (
     ("kochanek-bartels(b=0.5)", KochanekBartels(bias=0.5)),
     ("kochanek-bartels(b=-0.5)", KochanekBartels(bias=-0.5)),
 )
+
+# Method-spec head -> (class, report label formatted with the method's fields).
+METHOD_SPECS: dict[str, tuple[type, str]] = {
+    "min-energy": (MinEnergyQuad, "min-energy"),
+    "ours": (MinEnergyQuad, "min-energy"),
+    "catmull-rom": (CatmullRom, "catmull-rom"),
+    "cardinal": (Cardinal, "cardinal(t={:g})"),
+    "kb": (KochanekBartels, "kochanek-bartels(t={:g},b={:g},g={:g})"),
+    "kochanek-bartels": (KochanekBartels, "kochanek-bartels(t={:g},b={:g},g={:g})"),
+}
+
+
+def parse_method(spec: str) -> tuple[str, TangentMethod]:
+    """(report label, method) for "head[=v1,v2,...]", a METHOD_SPECS head; omitted values are 0."""
+    head, _, args = spec.partition("=")
+    head = head.strip().lower()
+    if head not in METHOD_SPECS:
+        raise ValidationError(f"unknown method {spec!r}")
+    cls, label = METHOD_SPECS[head]
+    try:
+        values = [float(v) for v in args.split(",")] if args else []
+    except ValueError:
+        values = [math.nan]
+    if len(values) > len(fields(cls)) or not all(map(math.isfinite, values)):
+        raise ValidationError(f"method {spec!r} takes at most {len(fields(cls))} finite numbers")
+    method = cls(*values)
+    return label.format(*astuple(method)), method
 
 
 def tangent_catmull_rom(p_prev: Point2, p_next: Point2, t_prev: float, t_next: float) -> Vec2:
@@ -84,8 +163,8 @@ def tangent_min_energy(p_prev: Point2, p_i: Point2, p_next: Point2,
                        t_prev: float, t_next: float) -> Vec2:
     """Tangent of the minimum-energy quadratic at p_i, rescaled by the knot span.
 
-    Raises CollinearPoints for degenerate triples; callers wanting the chord
-    fallback use build_spline.
+    Raises CollinearPoints or CoincidentEndpoints for degenerate triples;
+    callers wanting the chord fallback use build_spline.
     """
     if not t_next > t_prev:
         raise DomainError("knot values must increase")
@@ -205,63 +284,18 @@ def middle_segment_index(n_points: int) -> int:
     return (n_points - 2) // 2
 
 
-def _interior_tangent(method: TangentMethod, p_prev: Point2, p_i: Point2, p_next: Point2,
-                      t_prev: float, t_next: float) -> Vec2:
-    if isinstance(method, MinEnergyQuad):
-        try:
-            return tangent_min_energy(p_prev, p_i, p_next, t_prev, t_next)
-        except CollinearPoints:
-            # Straight chord is the zero-energy limit of the quadratic.
-            return tangent_catmull_rom(p_prev, p_next, t_prev, t_next)
-    if isinstance(method, CatmullRom):
-        return tangent_catmull_rom(p_prev, p_next, t_prev, t_next)
-    if isinstance(method, Cardinal):
-        return tangent_cardinal(p_prev, p_next, t_prev, t_next, method.tension)
-    if isinstance(method, KochanekBartels):
-        return tangent_kochanek_bartels(p_prev, p_i, p_next,
-                                        method.tension, method.bias, method.continuity)
-    raise TypeError(f"unknown tangent method {method!r}")
-
-
-def _endpoint_tangents(method: TangentMethod, points: Sequence[Point2],
-                       knots: Sequence[float]) -> tuple[Vec2, Vec2]:
-    n = len(points)
-    first_chord = (points[1] - points[0]) / (knots[1] - knots[0])
-    last_chord = (points[-1] - points[-2]) / (knots[-1] - knots[-2])
-    if not isinstance(method, MinEnergyQuad) or n < 3:
-        return first_chord, last_chord
-    try:
-        sol = build_solution(points[0], points[1], points[2])
-        first = sol.curve.velocity(0.0) / (knots[2] - knots[0])
-    except CollinearPoints:
-        first = first_chord
-    try:
-        sol = build_solution(points[-3], points[-2], points[-1])
-        last = sol.curve.velocity(1.0) / (knots[-1] - knots[-3])
-    except CollinearPoints:
-        last = last_chord
-    return first, last
-
-
 def build_spline(points: Sequence[Point2], knots: Sequence[float],
                  method: TangentMethod) -> HermiteSpline:
     """Assign tangents per the chosen method and assemble the spline.
 
-    Interior tangents follow the method; endpoint tangents are one-sided
-    chords for the classical methods and the end tangents of the boundary
-    minimum-energy quadratics (scaled by the outer knot span) for the
-    min-energy method.  Collinear triples under the min-energy method fall
-    back to the chord tangent.
+    Interior tangents come from method.interior over each knot's neighbours,
+    the two end tangents from method.endpoints.
     """
     points = tuple(points)
     if len(points) < 2:
         raise TooFewPoints(f"need at least 2 points, got {len(points)}")
     knots = _validate_knots(knots, len(points))
 
-    first, last = _endpoint_tangents(method, points, knots)
-    tangents = [first]
-    for i in range(1, len(points) - 1):
-        tangents.append(_interior_tangent(method, points[i - 1], points[i], points[i + 1],
-                                          knots[i - 1], knots[i + 1]))
-    tangents.append(last)
-    return HermiteSpline(points=points, knots=knots, tangents=tuple(tangents), method=method)
+    first, last = method.endpoints(points, knots)
+    inner = map(method.interior, points, points[1:], points[2:], knots, knots[2:])
+    return HermiteSpline(points=points, knots=knots, tangents=(first, *inner, last), method=method)

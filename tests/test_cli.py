@@ -77,6 +77,25 @@ class TestParseMethod:
         with pytest.raises(ValidationError):
             parse_method("bezier")
 
+    @pytest.mark.parametrize("spec, label", [
+        ("min-energy", "min-energy"),
+        ("ours", "min-energy"),
+        ("catmull-rom", "catmull-rom"),
+        ("cardinal", "cardinal(t=0)"),
+        ("cardinal=0.5", "cardinal(t=0.5)"),
+        ("kb=0,0.5,0", "kochanek-bartels(t=0,b=0.5,g=0)"),
+        ("Kochanek-Bartels=0.25", "kochanek-bartels(t=0.25,b=0,g=0)"),
+    ])
+    def test_labels(self, spec, label):
+        assert parse_method(spec)[0] == label
+
+    @pytest.mark.parametrize("spec", ["cardinal=abc", "cardinal=nan", "cardinal=inf",
+                                      "cardinal=0.1,0.2", "kb=0,0.5,0,9", "kb=0,,0",
+                                      "catmull-rom=1"])
+    def test_rejected(self, spec):
+        with pytest.raises(ValidationError):
+            parse_method(spec)
+
 
 class TestSolveCommand:
     def test_worked_example(self, capsys):
@@ -128,6 +147,13 @@ class TestCompareCommand:
         for r in rows:
             assert float(r["E"]) == pytest.approx(0.0, abs=1e-12)
             assert float(r["V"]) == pytest.approx(0.0, abs=1e-12)
+
+    def test_methods_apply_with_preset(self, capsys):
+        assert main(["compare", "--preset", "table1", "--methods", "catmull-rom+kb=0,0.5",
+                     "--format", "csv"]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert len(rows) == 8  # 4 sets x 2 methods
+        assert {r["method"] for r in rows} == {"catmull-rom", "kochanek-bartels(t=0,b=0.5,g=0)"}
 
     def test_too_few_points_exit_status(self, tmp_path, capsys):
         path = tmp_path / "short.csv"
@@ -189,3 +215,45 @@ class TestEnvPrecedence:
         monkeypatch.setenv("MQS_FORMAT", "csv")
         assert main(["compare", "--preset", "table1", "--format", "text"]) == 0
         assert capsys.readouterr().out.startswith("#")
+
+
+def _bad_inputs(d):
+    (d / "adir").mkdir()
+    (d / "latin1.csv").write_bytes(b"\xff\xfe0,0\n1,1\n2,0\n3,1\n")
+    (d / "doubling_back.csv").write_text("0,0\n1,1\n0,0\n1,0\n")
+    pts = [[0, 0], [1, 1], [2, 0], [3, 1]]
+    (d / "bool_point.json").write_text(json.dumps({"points": [[0, 0], [1, True], [2, 0], [3, 1]]}))
+    (d / "bool_knot.json").write_text(json.dumps({"points": pts, "knots": [False, 1, 2, 3]}))
+    (d / "nan_point.json").write_text('{"points": [[0, 0], [1, NaN], [2, 0], [3, 1]]}')
+    # An integer beyond the float range: float() of it raises OverflowError.
+    (d / "huge_point.json").write_text('{"points": [[0, 0], [1, 1%s], [2, 0], [3, 1]]}' % ("0" * 400))
+
+
+@pytest.mark.parametrize("argv, code", [
+    ("compare {d}/adir", 2),
+    ("plot {d}/adir {d}/out.svg", 2),
+    ("compare {d}/latin1.csv", 2),
+    ("plot {d}/latin1.csv {d}/out.svg", 2),
+    ("compare --preset table1 --tol-rel -1", 2),
+    ("compare --preset table1 --tol-abs 0", 2),
+    ("compare {d}/bool_point.json", 2),
+    ("compare {d}/bool_knot.json", 2),
+    ("compare {d}/nan_point.json", 2),
+    ("compare {d}/huge_point.json", 2),
+    ("plot set1 {d}/out.svg --method cardinal=abc", 2),
+    ("plot set1 {d}/out.svg --method cardinal=nan", 2),
+    ("plot set1 {d}/out.svg --method cardinal=inf", 2),
+    ("compare --preset table1 --methods kb=0,0.5,0,9", 2),
+    ("plot {d}/doubling_back.csv {d}/out.svg", 0),
+    ("plot {d}/doubling_back.csv {d}/out.svg --knots chord", 0),
+])
+def test_bad_input_exit_contract(tmp_path, capsys, argv, code):
+    """Bad input exits 0, 1 or 2 with at most one error line, never a traceback."""
+    _bad_inputs(tmp_path)
+    assert main(argv.replace("{d}", str(tmp_path)).split()) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code == 0:
+        assert err == ""
+    else:
+        assert err.startswith("error: ") and err.count("\n") == 1

@@ -183,6 +183,17 @@ class TestBuildSpline:
         for v_kb, v_cr in zip(kb0.tangents[1:-1], cr.tangents[1:-1]):
             assert v_kb == v_cr
 
+    @pytest.mark.parametrize("conv", ["uniform", "chord"])
+    def test_min_energy_doubling_back_falls_back_to_chord(self, conv):
+        # p0 == p2: the first triple has coincident ends, so no quadratic exists.
+        pts = [Vec2(0, 0), Vec2(1, 1), Vec2(0, 0), Vec2(1, 0)]
+        knots = chord_length_knots(pts) if conv == "chord" else uniform_knots(4)
+        ours = build_spline(pts, knots, MinEnergyQuad())
+        cr = build_spline(pts, knots, CatmullRom())
+        assert ours.tangents[1] == cr.tangents[1] == Vec2(0.0, 0.0)
+        assert ours.tangents[0] == cr.tangents[0]
+        assert ours.tangents[2] == tangent_min_energy(pts[1], pts[2], pts[3], knots[1], knots[3])
+
     def test_similarity_equivariance(self):
         rng = np.random.default_rng(89)
         pts = random_point_set(rng, 5)
