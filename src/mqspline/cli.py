@@ -140,6 +140,8 @@ def _load_json(text: str, fallback_name: str) -> PointSetFile:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, line=exc.lineno, column=exc.colno) from None
+    except ValueError as exc:  # e.g. an integer beyond the int-string conversion limit
+        raise ParseError(str(exc)) from None
     if not isinstance(doc, dict):
         raise ValidationError("structured point set must be a JSON object")
     name = doc.get("name", fallback_name)
@@ -260,6 +262,8 @@ def render_report_text(cells: Sequence[ReportCell]) -> str:
 
 
 def cmd_compare(args) -> int:
+    if args.preset == "table1" and args.paths:
+        raise ValidationError("give point-set files or --preset table1, not both")
     if args.preset == "table1":
         point_sets = [PointSetFile(name=name, points=pts) for name, pts in BENCHMARK_SETS.items()]
     elif args.paths:

@@ -40,39 +40,48 @@ class CurveEvaluator(Protocol):
     def third_derivative(self, t: float) -> Vec2: ...
 
 
-class PolyCurve:
-    """Polynomial curve from ascending vector coefficients c0 + c1 t + c2 t^2 + ..."""
+def _horner(coeffs: tuple[Vec2, ...], s: float) -> Vec2:
+    """sum coeffs[k] s^k for a non-empty ascending tuple, from the top coefficient."""
+    acc = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        acc = acc * s + c
+    return acc
 
-    def __init__(self, coefficients: Sequence[Vec2]):
+
+class PolyCurve:
+    """Polynomial curve c0 + c1 s + c2 s^2 + ... in the local parameter s = (t - t0) / span.
+
+    The coefficients of the first three derivatives in t are fixed at
+    construction and carry the 1 / span^k chain-rule factors, so fairness
+    integrals taken in t match the knot convention of a spline segment.
+    """
+
+    def __init__(self, coefficients: Sequence[Vec2], t0: float = 0.0, span: float = 1.0):
         self.coefficients = tuple(coefficients)
+        self.t0 = t0
+        self.span = span
+        derivatives = [self.coefficients]
+        for _ in range(3):
+            coeffs = derivatives[-1]
+            derivatives.append(tuple(coeffs[k] * (k / span) for k in range(1, len(coeffs))))
+        zero = (Vec2(0.0, 0.0),)
+        self._position, self._d1, self._d2, self._d3 = (c or zero for c in derivatives)
 
     @classmethod
     def from_quadratic(cls, curve: QuadraticCurve) -> "PolyCurve":
         return cls([curve.a3, curve.a2, curve.a1])
 
-    def _derivative_coeffs(self, order: int) -> tuple[Vec2, ...]:
-        coeffs = self.coefficients
-        for _ in range(order):
-            coeffs = tuple(coeffs[k] * float(k) for k in range(1, len(coeffs)))
-        return coeffs
-
-    def _eval(self, coeffs: tuple[Vec2, ...], t: float) -> Vec2:
-        acc = Vec2(0.0, 0.0)
-        for c in reversed(coeffs):
-            acc = acc * t + c
-        return acc
-
     def position(self, t: float) -> Vec2:
-        return self._eval(self.coefficients, t)
+        return _horner(self._position, (t - self.t0) / self.span)
 
     def first_derivative(self, t: float) -> Vec2:
-        return self._eval(self._derivative_coeffs(1), t)
+        return _horner(self._d1, (t - self.t0) / self.span)
 
     def second_derivative(self, t: float) -> Vec2:
-        return self._eval(self._derivative_coeffs(2), t)
+        return _horner(self._d2, (t - self.t0) / self.span)
 
     def third_derivative(self, t: float) -> Vec2:
-        return self._eval(self._derivative_coeffs(3), t)
+        return _horner(self._d3, (t - self.t0) / self.span)
 
 
 @dataclass(frozen=True)

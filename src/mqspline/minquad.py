@@ -38,9 +38,6 @@ class QuadraticCurve:
     def velocity(self, t: float) -> Vec2:
         return self.a1 * (2.0 * t) + self.a2
 
-    def acceleration(self, t: float) -> Vec2:
-        return self.a1 * 2.0
-
 
 @dataclass(frozen=True)
 class CubicSolve:
@@ -62,7 +59,6 @@ class MinQuadSolution:
     T: float
     curve: QuadraticCurve
     frame: NormalizedTriple
-    objective: float
 
 
 def cubic_residual(T, q2: Vec2):
@@ -145,7 +141,7 @@ def build_solution(p1: Point2, p2: Point2, p3: Point2) -> MinQuadSolution:
     a1 = (p2 - p1 - s3 * T) / (T * T - T)
     a2 = s3 - a1
     curve = QuadraticCurve(a1=a1, a2=a2, a3=p1)
-    return MinQuadSolution(T=T, curve=curve, frame=frame, objective=energy_objective(T, frame.q2))
+    return MinQuadSolution(T=T, curve=curve, frame=frame)
 
 
 def tangent_at_p2(sol: MinQuadSolution) -> Vec2:

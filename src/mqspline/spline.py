@@ -16,6 +16,7 @@ from dataclasses import astuple, dataclass, fields
 from typing import Optional, Sequence
 
 from .errors import CoincidentEndpoints, CollinearPoints, DomainError, TooFewPoints, ValidationError
+from .fairness import PolyCurve
 from .geometry import Point2, Vec2
 from .minquad import MinQuadSolution, build_solution, tangent_at_p2
 
@@ -205,43 +206,8 @@ def _validate_knots(knots: Sequence[float], n: int) -> tuple[float, ...]:
     return knots
 
 
-class HermiteSegmentCurve:
-    """CurveEvaluator for one spline segment over its global knot interval.
-
-    Derivatives carry the 1 / (t_b - t_a) chain-rule factors, so fairness
-    integrals taken in the global parameter match the knot convention.
-    """
-
-    def __init__(self, p_a: Point2, p_b: Point2, v_a: Vec2, v_b: Vec2,
-                 t_a: float, t_b: float):
-        self.t_a = t_a
-        self.t_b = t_b
-        self.span = t_b - t_a
-        # Local cubic c0 + c1 s + c2 s^2 + c3 s^3 with m = span * v (local tangents).
-        m_a = v_a * self.span
-        m_b = v_b * self.span
-        self.c0 = p_a
-        self.c1 = m_a
-        self.c2 = (p_b - p_a) * 3.0 - m_a * 2.0 - m_b
-        self.c3 = (p_a - p_b) * 2.0 + m_a + m_b
-
-    def _local(self, t: float) -> float:
-        return (t - self.t_a) / self.span
-
-    def position(self, t: float) -> Vec2:
-        s = self._local(t)
-        return ((self.c3 * s + self.c2) * s + self.c1) * s + self.c0
-
-    def first_derivative(self, t: float) -> Vec2:
-        s = self._local(t)
-        return ((self.c3 * (3.0 * s) + self.c2 * 2.0) * s + self.c1) / self.span
-
-    def second_derivative(self, t: float) -> Vec2:
-        s = self._local(t)
-        return (self.c3 * (6.0 * s) + self.c2 * 2.0) / (self.span * self.span)
-
-    def third_derivative(self, t: float) -> Vec2:
-        return self.c3 * (6.0 / self.span ** 3)
+# The segment evaluator's former class name; bench/tracing.py still looks it up.
+HermiteSegmentCurve = PolyCurve
 
 
 @dataclass(frozen=True)
@@ -260,13 +226,18 @@ class HermiteSpline:
     def segment_count(self) -> int:
         return len(self.points) - 1
 
-    def segment_evaluator(self, i: int) -> HermiteSegmentCurve:
-        """Evaluator for segment i (0-based, over [knots[i], knots[i+1]])."""
+    def segment_evaluator(self, i: int) -> PolyCurve:
+        """Segment i (0-based) as the cubic c0 + c1 s + c2 s^2 + c3 s^3 over
+        [knots[i], knots[i+1]], s the local parameter; its derivatives are in
+        the global knot parameter."""
         if not 0 <= i < self.segment_count:
             raise IndexError(f"segment index {i} out of range [0, {self.segment_count})")
-        return HermiteSegmentCurve(self.points[i], self.points[i + 1],
-                                   self.tangents[i], self.tangents[i + 1],
-                                   self.knots[i], self.knots[i + 1])
+        p_a, p_b = self.points[i], self.points[i + 1]
+        span = self.knots[i + 1] - self.knots[i]
+        # Local tangents m = span * v.
+        m_a, m_b = self.tangents[i] * span, self.tangents[i + 1] * span
+        return PolyCurve((p_a, m_a, (p_b - p_a) * 3.0 - m_a * 2.0 - m_b, (p_a - p_b) * 2.0 + m_a + m_b),
+                         self.knots[i], span)
 
     def evaluate(self, t: float) -> Vec2:
         if not self.knots[0] <= t <= self.knots[-1]:

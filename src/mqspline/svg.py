@@ -38,9 +38,9 @@ def render_spline_svg(spline: HermiteSpline, samples_per_segment: int = 64,
     segment_points: list[list[Vec2]] = []
     for i in range(spline.segment_count):
         t0, t1 = spline.knots[i], spline.knots[i + 1]
-        seg = [spline.evaluate(t0 + (t1 - t0) * k / samples_per_segment)
-               for k in range(samples_per_segment + 1)]
-        segment_points.append(seg)
+        curve = spline.segment_evaluator(i)
+        segment_points.append([curve.position(t0 + (t1 - t0) * k / samples_per_segment)
+                               for k in range(samples_per_segment + 1)])
 
     all_pts = [p for seg in segment_points for p in seg] + list(spline.points)
     mapper = _Mapper([p.x for p in all_pts], [p.y for p in all_pts])

@@ -227,6 +227,9 @@ def _bad_inputs(d):
     (d / "nan_point.json").write_text('{"points": [[0, 0], [1, NaN], [2, 0], [3, 1]]}')
     # An integer beyond the float range: float() of it raises OverflowError.
     (d / "huge_point.json").write_text('{"points": [[0, 0], [1, 1%s], [2, 0], [3, 1]]}' % ("0" * 400))
+    # More digits than the int-string conversion limit: json.loads raises a plain ValueError.
+    (d / "long_int.json").write_text('{"points": [[0, 0], [1, 1%s], [2, 0], [3, 1]]}' % ("0" * 5000))
+    (d / "pts.csv").write_text("0,0\n1,1\n2,0\n3,1\n")
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -246,6 +249,8 @@ def _bad_inputs(d):
     ("compare --preset table1 --methods kb=0,0.5,0,9", 2),
     ("plot {d}/doubling_back.csv {d}/out.svg", 0),
     ("plot {d}/doubling_back.csv {d}/out.svg --knots chord", 0),
+    ("compare --preset table1 {d}/pts.csv", 2),
+    ("compare {d}/long_int.json", 2),
 ])
 def test_bad_input_exit_contract(tmp_path, capsys, argv, code):
     """Bad input exits 0, 1 or 2 with at most one error line, never a traceback."""

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mqspline.errors import CollinearPoints, DomainError, TooFewPoints
-from mqspline.fairness import curvature, segment_energy, segment_variation
+from mqspline.fairness import PolyCurve, curvature, curvature_rate, segment_energy, segment_variation
 from mqspline.geometry import Vec2
 from mqspline.minquad import build_solution
 from mqspline.pointsets import POINT_SET_1, POINT_SET_2
@@ -236,6 +236,22 @@ class TestSegmentEvaluator:
             d2 = (pp - p0 * 2.0 + pm) / (h * h)
             kappa_fd = (d1.x * d2.y - d1.y * d2.x) / d1.norm() ** 3
             assert curvature(ev, t) == pytest.approx(kappa_fd, rel=1e-4, abs=1e-6)
+
+    def test_chord_length_knots_carry_span_factors(self):
+        # Chord-length spans are not 1, so the 1/span^k factors of the derivatives show.
+        knots = chord_length_knots(self.pts)
+        sp = build_spline(self.pts, knots, MinEnergyQuad())
+        h = 1e-5
+        for i in range(sp.segment_count):
+            ev = sp.segment_evaluator(i)
+            t0, t1 = knots[i], knots[i + 1]
+            assert isinstance(ev, PolyCurve) and (ev.t0, ev.span) == (t0, t1 - t0)
+            for j in (i, i + 1):
+                assert (ev.position(knots[j]) - self.pts[j]).norm() < 1e-12
+                assert (ev.first_derivative(knots[j]) - sp.tangents[j]).norm() < 1e-12
+            for t in np.linspace(t0 + 0.1 * (t1 - t0), t1 - 0.1 * (t1 - t0), 7):
+                rate_fd = (curvature(ev, t + h) - curvature(ev, t - h)) / (2 * h)
+                assert curvature_rate(ev, t) == pytest.approx(rate_fd, rel=1e-6, abs=1e-8)
 
     def test_chord_length_knots(self):
         pts = [Vec2(0, 0), Vec2(3, 4), Vec2(6, 8)]
