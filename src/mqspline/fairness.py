@@ -2,9 +2,9 @@
 
 Energy E integrates squared signed curvature over the curve PARAMETER
 (dt, not arc length); curvature variation V integrates the squared
-parameter-derivative of curvature.  Whole-line integrals are computed
-with the substitution t = tan(u), which turns the decaying tails into a
-smooth integrand on a finite interval.
+parameter-derivative of curvature.  Segment integrals are taken by adaptive
+quadrature (scipy, imported on the first one).  The whole-line integrals of
+a quadratic are closed forms in its coefficients.
 """
 
 from __future__ import annotations
@@ -14,10 +14,8 @@ import warnings
 from dataclasses import dataclass
 from typing import Protocol, Sequence, runtime_checkable
 
-from scipy.integrate import IntegrationWarning, quad
-
 from .errors import DomainError, QuadratureDivergence, ZeroSpeed
-from .geometry import Vec2
+from .geometry import Vec2, cross2
 from .minquad import QuadraticCurve
 
 SPEED2_FLOOR = 1e-300
@@ -128,6 +126,11 @@ def curvature_rate(c: CurveEvaluator, t: float) -> float:
 
 
 def _adaptive(fn, t0: float, t1: float, cfg: QuadratureConfig) -> float:
+    if not t0 < t1:
+        raise ValueError("need t0 < t1")
+    # Imported here, so that the triple path and spline building never load it.
+    from scipy.integrate import IntegrationWarning, quad
+
     with warnings.catch_warnings():
         warnings.simplefilter("error", IntegrationWarning)
         try:
@@ -140,37 +143,35 @@ def _adaptive(fn, t0: float, t1: float, cfg: QuadratureConfig) -> float:
 def segment_energy(c: CurveEvaluator, t0: float, t1: float,
                    cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
     """Integral of squared curvature over [t0, t1] in the curve parameter."""
-    if not t0 < t1:
-        raise ValueError("need t0 < t1")
     return _adaptive(lambda t: curvature(c, t) ** 2, t0, t1, cfg)
 
 
 def segment_variation(c: CurveEvaluator, t0: float, t1: float,
                       cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
     """Integral of squared curvature rate over [t0, t1] in the curve parameter."""
-    if not t0 < t1:
-        raise ValueError("need t0 < t1")
     return _adaptive(lambda t: curvature_rate(c, t) ** 2, t0, t1, cfg)
 
 
-def _whole_line(fn, cfg: QuadratureConfig) -> float:
-    # t = tan(u); dt = sec^2(u) du.  The integrands decay at least like
-    # |t|^-6, so the transformed integrand vanishes at the endpoints.
-    def g(u):
-        cu = math.cos(u)
-        if abs(cu) < 1e-150:
-            return 0.0
-        t = math.tan(u)
-        return fn(t) / (cu * cu)
-
-    return _adaptive(g, -0.5 * math.pi, 0.5 * math.pi, cfg)
-
-
-def whole_line_energy(c: CurveEvaluator, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
-    """Squared-curvature integral over the whole real line."""
-    return _whole_line(lambda t: curvature(c, t) ** 2, cfg)
+def _quadratic_terms(c: PolyCurve) -> tuple[float, float]:
+    """|a1| and |a1 x a2| / |a1| (0.0 when straight) of a quadratic a1 t^2 + a2 t + a3."""
+    if not isinstance(c, PolyCurve) or len(c.coefficients) > 3:
+        raise DomainError("whole-line integrals need a PolyCurve of degree 2 or less")
+    # a1 = r''/2, and a1 x r'(t) = a1 x a2 for every t: take r'(t0).
+    a1, v = c._d2[0] * 0.5, c._d1[0]
+    n = a1.norm()
+    if n == 0.0 and v.norm() == 0.0:
+        raise ZeroSpeed("constant curve: the speed vanishes everywhere")
+    cr = cross2(a1, v)
+    return n, abs(cr) / n if cr else 0.0
 
 
-def whole_line_variation(c: CurveEvaluator, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
-    """Squared curvature-rate integral over the whole real line."""
-    return _whole_line(lambda t: curvature_rate(c, t) ** 2, cfg)
+def whole_line_energy(c: PolyCurve) -> float:
+    """Squared-curvature integral over the whole real line: (3 pi / 4) |a1|^4 / |a1 x a2|^3."""
+    n, m = _quadratic_terms(c)
+    return 0.75 * math.pi * (n / m) / m / m if m else 0.0
+
+
+def whole_line_variation(c: PolyCurve) -> float:
+    """Squared curvature-rate integral over the whole real line: (45 pi / 16) |a1|^8 / |a1 x a2|^5."""
+    n, m = _quadratic_terms(c)
+    return 45.0 * math.pi / 16.0 * (n / m) * (n / m) * (n / m) / m / m if m else 0.0

@@ -100,19 +100,20 @@ def normalize_triple(p1: Point2, p2: Point2, p3: Point2) -> NormalizedTriple:
 
     Raises CoincidentEndpoints when |p3 - p1| <= 1e-12 times the largest
     coordinate magnitude, and CollinearPoints when
-    |cross2(p2 - p1, p3 - p1)| <= 1e-9 * |p3 - p1|^2.
+    |cross2(p2 - p1, p3 - p1)| <= 1e-9 * |p3 - p1|^2, tested as |q2.y| <= 1e-9
+    on scaled values, which do not overflow.
     """
     s3 = p3 - p1
-    max_mag = max(abs(v) for p in (p1, p2, p3) for v in (p.x, p.y))
-    if s3.norm() <= COINCIDENT_REL_TOL * max(max_mag, 1e-300):
-        raise CoincidentEndpoints(f"|p3 - p1| = {s3.norm():g} is below tolerance")
-    if abs(cross2(p2 - p1, s3)) <= COLLINEAR_REL_TOL * s3.norm2():
-        raise CollinearPoints(f"triple {p1.as_tuple()}, {p2.as_tuple()}, {p3.as_tuple()} is collinear")
-
     scale = s3.norm()
+    max_mag = max(abs(v) for p in (p1, p2, p3) for v in (p.x, p.y))
+    if scale <= COINCIDENT_REL_TOL * max(max_mag, 1e-300):
+        raise CoincidentEndpoints(f"|p3 - p1| = {scale:g} is below tolerance")
+
     # Rotation built directly from the scaled endpoint, no angle extraction.
     c = s3.x / scale
     s = s3.y / scale
     d = (p2 - p1) / scale
     q2 = Vec2(c * d.x + s * d.y, -s * d.x + c * d.y)
+    if abs(q2.y) <= COLLINEAR_REL_TOL:
+        raise CollinearPoints(f"triple {p1.as_tuple()}, {p2.as_tuple()}, {p3.as_tuple()} is collinear")
     return NormalizedTriple(q2=q2, translation=p1, scale=scale, rotation=((c, s), (-s, c)))

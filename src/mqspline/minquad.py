@@ -12,16 +12,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DegenerateCurve, DomainError, NoRootInUnitInterval
 from .geometry import NormalizedTriple, Point2, Vec2, cross2, normalize_triple
 
 DEGENERATE_CROSS_REL_TOL = 1e-12
-# Closed-form arc length breaks down when the two chord vectors are
-# (anti)parallel; fall back to quadrature there.
-ARC_SIN_GUARD = 1e-7
-ARC_COS_GUARD = 1e-12
 
 
 @dataclass(frozen=True)
@@ -150,7 +145,9 @@ def tangent_at_p2(sol: MinQuadSolution) -> Vec2:
 
 
 def arc_length_numeric(sol: MinQuadSolution) -> float:
-    """Arc length over [0, 1] by adaptive quadrature of the speed."""
+    """Arc length over [0, 1] by adaptive quadrature of the speed; a cross-check."""
+    from scipy.integrate import quad
+
     curve = sol.curve
 
     def speed(t):
@@ -161,29 +158,29 @@ def arc_length_numeric(sol: MinQuadSolution) -> float:
 
 
 def arc_length_closed(sol: MinQuadSolution) -> float:
-    """Arc length between the endpoints via the closed form.
+    """Arc length over [0, 1], the elementary integral of the speed |2 a1 t + a2|.
 
-    Falls back to arc_length_numeric when the chord vectors r1 and r2 are
-    numerically parallel (the log term is indeterminate there).
+    With n = |a1|, m = |a1 x a2| / n, u = (2 a1 t + a2) . a1 / n from u0 to u1 = u0 + 2 n
+    and r = hypot(u, m): L = [u r + m^2 asinh(u / m)] from u0 to u1, over 4 n, with
+    both differences in forms that do not cancel (r1^2 - r0^2 = 2 n (u0 + u1)).
     """
-    T = sol.T
-    s3 = sol.curve.a1 + sol.curve.a2
-    s2 = sol.curve.point(T) - sol.curve.a3
-    r1 = s3 * T - s2
-    r2 = s3 * (T * T) - s2
-    A = r1.norm()
-    B = r2.norm()
-    if A == 0.0 or B == 0.0:
-        return arc_length_numeric(sol)
-    cos_t = min(1.0, max(-1.0, r1.dot(r2) / (A * B)))
-    sin2_t = max(0.0, 1.0 - cos_t * cos_t)
-    if math.sqrt(sin2_t) < ARC_SIN_GUARD or abs(1.0 - cos_t) < ARC_COS_GUARD:
-        return arc_length_numeric(sol)
-    rho = math.sqrt(4.0 * A * A - 4.0 * A * B * cos_t + B * B)
-    log_term = math.log((2.0 * A - B * cos_t + rho) / (B * (1.0 - cos_t)))
-    return (B * B * cos_t + (2.0 * A - B * cos_t) * rho + B * B * sin2_t * log_term) / (
-        4.0 * A * (T - T * T)
-    )
+    a1, a2 = sol.curve.a1, sol.curve.a2
+    n = a1.norm()
+    if n == 0.0:
+        return a2.norm()
+    unit = a1 / n
+    m = abs(cross2(unit, a2))
+    u0 = unit.dot(a2)
+    u1 = u0 + 2.0 * n
+    r0, r1 = math.hypot(u0, m), math.hypot(u1, m)
+    rs, us = r0 + r1, u0 + u1
+    if m * m == 0.0:  # straight, or the asinh term is below round-off
+        d = 0.0
+    elif u0 > 0.0 or u1 < 0.0:  # one sign on [u0, u1]: the difference as one asinh
+        d = math.asinh(2.0 * n * us / (u1 * r0 + u0 * r1))
+    else:
+        d = math.asinh(u1 / m) - math.asinh(u0 / m)
+    return (rs + us * (us / rs) + m * (m / n * d)) / 4.0
 
 
 def total_energy_closed(curve: QuadraticCurve) -> float:

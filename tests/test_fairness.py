@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from mqspline.errors import ZeroSpeed
+from mqspline.errors import DomainError, ZeroSpeed
 from mqspline.fairness import (
     PolyCurve,
     QuadratureConfig,
@@ -140,6 +140,79 @@ class TestOracleAgreement:
             closed = total_energy_closed(curve)
             numeric = whole_line_energy(PolyCurve.from_quadratic(curve))
             assert closed == pytest.approx(numeric, rel=1e-6)
+
+
+def _tan_substituted(c, integrand):
+    """Whole-line quadrature of integrand(c, t) for a quadratic PolyCurve.
+
+    t = t* + w tan(u), with t* the minimum-speed parameter and w the half
+    width of the curvature peak, so the transformed integrand has the same
+    shape for every aspect ratio.
+    """
+    _, c1, c2 = c.coefficients
+    n2 = c2.norm2()
+    t_star = c.t0 - c.span * c2.dot(c1) / (2.0 * n2)
+    w = c.span * abs(c2.x * c1.y - c2.y * c1.x) / (2.0 * n2)
+
+    def g(u):
+        cu = math.cos(u)
+        if abs(cu) < 1e-150:
+            return 0.0
+        return integrand(c, t_star + w * math.tan(u)) ** 2 * w / (cu * cu)
+
+    val, _ = quad(g, -0.5 * math.pi, 0.5 * math.pi, epsabs=0.0, epsrel=1e-11, limit=200)
+    return val
+
+
+class TestWholeLineOracle:
+    """Closed-form whole-line E and V against quadrature of kappa^2 and kappa-dot^2."""
+
+    def test_random_quadratics_against_quadrature(self):
+        rng = np.random.default_rng(71)
+        for _ in range(40):
+            # |a1| |a2| / |a1 x a2| (the aspect ratio) log-uniform in [1, 1e4].
+            sin_t = 10.0 ** -rng.uniform(0.0, 4.0)
+            phi = rng.uniform(0.0, 2.0 * math.pi)
+            theta = math.asin(sin_t) * rng.choice([-1.0, 1.0]) + rng.choice([0.0, math.pi])
+            n1, n2 = 10.0 ** rng.uniform(-1.0, 1.0, 2)
+            a1 = Vec2(n1 * math.cos(phi), n1 * math.sin(phi))
+            a2 = Vec2(n2 * math.cos(phi + theta), n2 * math.sin(phi + theta))
+            a3 = Vec2(*rng.uniform(-3.0, 3.0, 2))
+            span = 10.0 ** rng.uniform(-1.0, 1.0)
+            c = PolyCurve([a3, a2 * span, a1 * (span * span)], t0=rng.uniform(-5.0, 5.0), span=span)
+            assert whole_line_energy(c) == pytest.approx(_tan_substituted(c, curvature), rel=1e-8)
+            assert whole_line_variation(c) == pytest.approx(_tan_substituted(c, curvature_rate), rel=1e-8)
+
+    def test_far_shifted_vertex(self):
+        # The vertex sits at t = 1000, far outside the unit half-width.
+        c = PolyCurve([Vec2(0.0, 0.0), Vec2(1.0, -2000.0), Vec2(0.0, 1.0)])
+        assert whole_line_energy(c) == pytest.approx(3 * math.pi / 4, rel=1e-14)
+        assert whole_line_variation(c) == pytest.approx(45 * math.pi / 16, rel=1e-14)
+
+    def test_wide_flat_quadratic(self):
+        c = PolyCurve([Vec2(0.0, 0.0), Vec2(1e4, 3.0), Vec2(0.0, 1.0)])
+        assert whole_line_energy(c) == pytest.approx(3 * math.pi / 4 * 1e-12, rel=1e-14)
+        assert whole_line_variation(c) == pytest.approx(45 * math.pi / 16 * 1e-20, rel=1e-14)
+
+    def test_straight_traversals_give_zero(self):
+        doubling = PolyCurve([Vec2(1.0, 1.0), Vec2(-2.0, -4.0), Vec2(1.0, 2.0)])
+        for c in (LINE, doubling):
+            assert whole_line_energy(c) == 0.0
+            assert whole_line_variation(c) == 0.0
+
+    def test_constant_curve_raises(self):
+        for c in (PolyCurve([Vec2(1.0, 2.0)]), PolyCurve([Vec2(1.0, 2.0), Vec2(0.0, 0.0)])):
+            with pytest.raises(ZeroSpeed):
+                whole_line_energy(c)
+            with pytest.raises(ZeroSpeed):
+                whole_line_variation(c)
+
+    def test_cubic_raises(self):
+        cubic = PolyCurve([Vec2(0.0, 0.0), Vec2(1.0, 0.0), Vec2(0.0, 1.0), Vec2(0.5, 0.0)])
+        with pytest.raises(DomainError):
+            whole_line_energy(cubic)
+        with pytest.raises(DomainError):
+            whole_line_variation(cubic)
 
 
 class TestSignSymmetry:

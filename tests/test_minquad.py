@@ -1,5 +1,6 @@
 """Tests for the minimum-energy quadratic solve and its derived quantities."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -148,6 +149,17 @@ class TestBuildSolution:
         with pytest.raises(CollinearPoints):
             build_solution(Vec2(0, 0), Vec2(1, 1), Vec2(2, 2))
 
+    def test_huge_coordinates_scale_the_unit_solution(self):
+        # cross(p2 - p1, p3 - p1) and |p3 - p1|^2 overflow at this scale;
+        # the collinearity test must not see them.
+        unit = build_solution(Vec2(0, 0), Vec2(1, 3), Vec2(2, 0))
+        huge = build_solution(Vec2(0, 0), Vec2(1e200, 3e200), Vec2(2e200, 0))
+        assert unit.T == pytest.approx(0.5, abs=1e-12)
+        assert huge.T == pytest.approx(unit.T, abs=1e-12)
+        for got, want in ((huge.curve.a1, unit.curve.a1), (tangent_at_p2(huge), tangent_at_p2(unit))):
+            assert got.x == pytest.approx(1e200 * want.x, rel=1e-12, abs=1e188)
+            assert got.y == pytest.approx(1e200 * want.y, rel=1e-12, abs=1e188)
+
 
 class TestTangentAtP2:
     def test_symmetric_triple(self):
@@ -191,6 +203,22 @@ class TestArcLength:
         for p1, p2, p3 in random_triples(rng, 200):
             sol = build_solution(p1, p2, p3)
             assert arc_length_closed(sol) == pytest.approx(arc_length_numeric(sol), rel=1e-8)
+
+    @pytest.mark.parametrize("a1, a2", [
+        ((0.0, 1.0), (1.0, 0.5)),      # vertex at t = -0.25: u > 0 on [0, 1]
+        ((0.0, 1.0), (1.0, -3.0)),     # vertex at t = 1.5: u < 0 on [0, 1]
+        ((1.0, 0.0), (0.5, 1e-9)),     # nearly straight, one sign
+        ((2.0, -1.0), (-2.0, 1.0)),    # straight, doubling back at t = 0.5
+        ((1.0, 0.0), (-1.0, 1e-300)),  # m^2 underflows
+        ((0.0, 0.0), (3.0, 4.0)),      # a1 = 0: a line of length |a2|
+    ])
+    def test_every_branch_vs_quadrature(self, a1, a2):
+        sol = build_solution(Vec2(0, 0), Vec2(0.5, 1), Vec2(1, 0))
+        curve = QuadraticCurve(a1=Vec2(*a1), a2=Vec2(*a2), a3=Vec2(0, 0))
+        speed = lambda t: curve.velocity(t).norm()
+        oracle, _ = quad(speed, 0.0, 1.0, points=[0.5], epsabs=0.0, epsrel=1e-13)
+        got = arc_length_closed(dataclasses.replace(sol, curve=curve))
+        assert got == pytest.approx(oracle, rel=1e-12)
 
     def test_lower_bound_chord(self):
         rng = np.random.default_rng(41)
