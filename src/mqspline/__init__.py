@@ -29,7 +29,6 @@ from .minquad import (
     total_energy_closed,
 )
 from .fairness import (
-    CurveEvaluator,
     PolyCurve,
     QuadratureConfig,
     curvature,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import CoincidentEndpoints, CollinearPoints
+from .errors import CoincidentEndpoints, CollinearPoints, DomainError
 
 # Scale-invariant thresholds; see the docstring of normalize_triple.
 COLLINEAR_REL_TOL = 1e-9
@@ -27,7 +27,7 @@ class Vec2:
 
     def __post_init__(self):
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"non-finite coordinates ({self.x}, {self.y})")
+            raise DomainError(f"non-finite coordinates ({self.x}, {self.y})")
 
     def __add__(self, other: "Vec2") -> "Vec2":
         return Vec2(self.x + other.x, self.y + other.y)

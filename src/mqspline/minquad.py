@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DegenerateCurve, DomainError, NoRootInUnitInterval
 from .geometry import NormalizedTriple, Point2, Vec2, cross2, normalize_triple
 
@@ -109,11 +107,18 @@ def energy_objective(T, q2: Vec2):
     Equals ((q2.x - T)^2 + q2.y^2)^2 / (T - T^2); strictly positive on (0, 1).
     Accepts a scalar or a numpy array of T values.
     """
-    t = np.asarray(T, dtype=float)
-    if np.any(t <= 0.0) or np.any(t >= 1.0):
+    if isinstance(T, (int, float)):  # a scalar, as in solve_min_T's tie-break, needs no numpy
+        t = float(T)
+        outside = not 0.0 < t < 1.0
+    else:
+        import numpy as np
+
+        t = np.asarray(T, dtype=float)
+        outside = np.any(t <= 0.0) or np.any(t >= 1.0)
+    if outside:
         raise DomainError("energy objective requires 0 < T < 1")
     val = ((q2.x - t) ** 2 + q2.y ** 2) ** 2 / (t - t * t)
-    return float(val) if val.ndim == 0 else val
+    return float(val) if getattr(val, "ndim", 0) == 0 else val
 
 
 def solve_min_T(q2: Vec2) -> float:
@@ -146,15 +151,12 @@ def tangent_at_p2(sol: MinQuadSolution) -> Vec2:
 
 def arc_length_numeric(sol: MinQuadSolution) -> float:
     """Arc length over [0, 1] by adaptive quadrature of the speed; a cross-check."""
-    from scipy.integrate import quad
+    # Imported here: fairness imports this module.
+    from .fairness import QuadratureConfig, _adaptive
 
     curve = sol.curve
-
-    def speed(t):
-        return curve.velocity(t).norm()
-
-    val, _ = quad(speed, 0.0, 1.0, epsabs=1e-13, epsrel=1e-12, limit=200)
-    return val
+    return _adaptive(lambda t: curve.velocity(t).norm(), 0.0, 1.0,
+                     QuadratureConfig(rel_tol=1e-12, abs_tol=1e-13, max_depth=50))
 
 
 def arc_length_closed(sol: MinQuadSolution) -> float:

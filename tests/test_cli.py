@@ -170,6 +170,24 @@ class TestCompareCommand:
         assert all(c.energy is not None and c.energy >= 0 for c in cells)
         assert all(c.variation is not None and c.variation >= 0 for c in cells)
 
+    def test_unreachable_tolerance_fails_each_cell_on_one_line(self, capsys):
+        argv = ["compare", "--preset", "table1", "--tol-rel", "1e-300", "--tol-abs", "1e-300",
+                "--format", "csv"]
+        assert main(argv) == 1
+        out = capsys.readouterr().out
+        assert out.count("\n") == 25  # the header and 4 sets x 6 methods, one line each
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert all(r["status"].startswith("failed: no convergence") for r in rows)
+
+    def test_overflowing_points_fail_their_cells(self, tmp_path, capsys):
+        _bad_inputs(tmp_path)
+        assert main(["compare", str(tmp_path / "overflow.csv"), "--format", "csv"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        rows = list(csv.DictReader(io.StringIO(captured.out)))
+        assert len(rows) == 6
+        assert all(r["status"].startswith("failed: non-finite coordinates") for r in rows)
+
 
 class TestPlotCommand:
     def test_structure(self, tmp_path):
@@ -230,6 +248,8 @@ def _bad_inputs(d):
     # More digits than the int-string conversion limit: json.loads raises a plain ValueError.
     (d / "long_int.json").write_text('{"points": [[0, 0], [1, 1%s], [2, 0], [3, 1]]}' % ("0" * 5000))
     (d / "pts.csv").write_text("0,0\n1,1\n2,0\n3,1\n")
+    # Finite points whose differences overflow to inf.
+    (d / "overflow.csv").write_text("-1e308,0\n0,1\n1e308,0\n1e308,1\n")
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -251,6 +271,8 @@ def _bad_inputs(d):
     ("plot {d}/doubling_back.csv {d}/out.svg --knots chord", 0),
     ("compare --preset table1 {d}/pts.csv", 2),
     ("compare {d}/long_int.json", 2),
+    ("solve -- -1e308,0 0,1 1e308,0", 2),
+    ("plot {d}/overflow.csv {d}/out.svg", 2),
 ])
 def test_bad_input_exit_contract(tmp_path, capsys, argv, code):
     """Bad input exits 0, 1 or 2 with at most one error line, never a traceback."""

@@ -12,10 +12,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from mqspline.errors import DomainError, ZeroSpeed
+from mqspline.errors import DomainError, QuadratureDivergence, ZeroSpeed
 from mqspline.fairness import (
     PolyCurve,
     QuadratureConfig,
+    _gk21,
     curvature,
     curvature_rate,
     segment_energy,
@@ -25,8 +26,17 @@ from mqspline.fairness import (
 )
 from mqspline.geometry import Vec2
 from mqspline.minquad import QuadraticCurve, total_energy_closed
+from mqspline.spline import (
+    COMPARISON_METHODS,
+    CatmullRom,
+    HermiteSpline,
+    build_spline,
+    chord_length_knots,
+    middle_segment_index,
+    uniform_knots,
+)
 
-from _rand import random_triples
+from _rand import random_similarity, random_triples
 
 
 def parabola(a=1.0, b=0.0, c=0.0):
@@ -52,6 +62,20 @@ class TestCurvature:
         stationary = PolyCurve([Vec2(1.0, 2.0)])
         with pytest.raises(ZeroSpeed):
             curvature(stationary, 0.0)
+
+
+class TestFloatEvaluation:
+    def test_equal_to_the_formulas_on_the_derivative_vectors(self):
+        rng = np.random.default_rng(29)
+        for _ in range(200):
+            c = PolyCurve([Vec2(*rng.uniform(-2, 2, 2)) for _ in range(4)],
+                          t0=rng.uniform(-3, 3), span=10.0 ** rng.uniform(-1, 1))
+            t = c.t0 + c.span * rng.uniform(-1.5, 1.5)
+            v, a, j = c.first_derivative(t), c.second_derivative(t), c.third_derivative(t)
+            speed2 = v.norm2()
+            assert curvature(c, t) == (v.x * a.y - v.y * a.x) / speed2 ** 1.5
+            num = (v.x * j.y - v.y * j.x) * speed2 - 3.0 * (v.x * a.x + v.y * a.y) * (v.x * a.y - v.y * a.x)
+            assert curvature_rate(c, t) == num / speed2 ** 2.5
 
 
 class TestCurvatureRate:
@@ -93,6 +117,73 @@ class TestSegmentIntegrals:
         whole = segment_energy(c, -1.0, 2.0)
         parts = segment_energy(c, -1.0, 0.5) + segment_energy(c, 0.5, 2.0)
         assert whole == pytest.approx(parts, rel=1e-9)
+
+
+def _near_cusp_segment(rng, knots):
+    """A Hermite segment from (0, 0) to (1, 0) with local tangents (3 (1 + d), +-b), under a
+    random similarity.  d = 0 puts a cusp at the midpoint; here the speed dips to 1.5 |d|
+    with |d| log-uniform in [1e-3, 0.3]."""
+    d = 10.0 ** rng.uniform(-3.0, math.log10(0.3)) * rng.choice([-1.0, 1.0])
+    b = rng.uniform(0.5, 3.0)
+    sim = random_similarity(rng)
+    origin = sim(Vec2(0.0, 0.0))
+    p_a, p_b = origin, sim(Vec2(1.0, 0.0))
+    m_a, m_b = sim(Vec2(3.0 * (1.0 + d), b)) - origin, sim(Vec2(3.0 * (1.0 + d), -b)) - origin
+    t0 = float(rng.integers(0, 5)) if knots == "uniform" else rng.uniform(0.0, 10.0)
+    span = 1.0 if knots == "uniform" else (p_b - p_a).norm()
+    spline = HermiteSpline(points=(p_a, p_b), knots=(t0, t0 + span),
+                           tangents=(m_a / span, m_b / span), method=CatmullRom())
+    return spline.segment_evaluator(0), t0, t0 + span
+
+
+class TestSegmentQuadratureOracle:
+    """The in-house Gauss-Kronrod quadrature against scipy's QUADPACK `quad`."""
+
+    @staticmethod
+    def _check(c, t0, t1):
+        for integral, integrand in ((segment_energy, curvature), (segment_variation, curvature_rate)):
+            oracle, _ = quad(lambda t: integrand(c, t) ** 2, t0, t1, epsabs=0.0, epsrel=1e-13,
+                             limit=2000)
+            assert integral(c, t0, t1) == pytest.approx(oracle, rel=1e-10)
+
+    @pytest.mark.parametrize("knots", ["uniform", "chord"])
+    def test_random_middle_segments(self, knots):
+        rng = np.random.default_rng(73)
+        for _ in range(8):
+            n = int(rng.integers(4, 9))
+            points = [Vec2(*p) for p in rng.uniform(-3.0, 3.0, (n, 2))]
+            ks = uniform_knots(n) if knots == "uniform" else chord_length_knots(points)
+            mid = middle_segment_index(n)
+            for _, method in COMPARISON_METHODS:
+                self._check(build_spline(points, ks, method).segment_evaluator(mid), ks[mid], ks[mid + 1])
+
+    @pytest.mark.parametrize("knots", ["uniform", "chord"])
+    def test_near_cusp_segments(self, knots):
+        rng = np.random.default_rng(79)
+        for _ in range(12):
+            self._check(*_near_cusp_segment(rng, knots))
+
+    def test_kronrod_rule_exact_to_degree_31(self):
+        # Pins QUADPACK's dqk21 constants: the Kronrod rule is exact for degree <= 31, and
+        # the embedded Gauss rule for degree <= 19, where the error estimate is at its floor.
+        for k in range(32):
+            value, err = _gk21(lambda x: x ** k, -1.0, 1.0)
+            assert value == pytest.approx(2.0 / (k + 1) if k % 2 == 0 else 0.0, abs=1e-15)
+            if k <= 19:
+                assert err < 1e-13
+
+
+class TestQuadratureDivergence:
+    def test_subinterval_budget_raises_one_line(self):
+        c, t0, t1 = _near_cusp_segment(np.random.default_rng(83), "uniform")
+        with pytest.raises(QuadratureDivergence) as info:
+            segment_energy(c, t0, t1, QuadratureConfig(max_depth=1))
+        assert "\n" not in str(info.value)
+
+    def test_unreachable_tolerance_raises_one_line(self):
+        with pytest.raises(QuadratureDivergence) as info:
+            segment_variation(parabola(), 0.0, 1.0, QuadratureConfig(rel_tol=1e-300, abs_tol=1e-300))
+        assert "\n" not in str(info.value)
 
 
 class TestLemmaConstants:
