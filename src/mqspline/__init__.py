@@ -13,7 +13,7 @@ from .errors import (
     ValidationError,
     ZeroSpeed,
 )
-from .geometry import NormalizedTriple, Point2, Vec2, cross2, normalize_triple
+from .geometry import Vec2, cross2, normalize_triple
 from .minquad import (
     CubicSolve,
     MinQuadSolution,
@@ -49,10 +49,6 @@ from .spline import (
     chord_length_knots,
     hermite_eval,
     middle_segment_index,
-    tangent_cardinal,
-    tangent_catmull_rom,
-    tangent_kochanek_bartels,
-    tangent_min_energy,
     uniform_knots,
 )
 

@@ -183,7 +183,7 @@ def _parse_point_arg(text: str) -> Vec2:
 def cmd_solve(args) -> int:
     p1, p2, p3 = (_parse_point_arg(t) for t in (args.p1, args.p2, args.p3))
     sol = build_solution(p1, p2, p3)
-    roots = cubic_roots(sol.frame.q2)
+    roots = cubic_roots(sol.q2)
     tangent = tangent_at_p2(sol)
     length = arc_length_closed(sol)
     if args.format == "csv":

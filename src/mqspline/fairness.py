@@ -16,8 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DomainError, QuadratureDivergence, ZeroSpeed
-from .geometry import Vec2, cross2
-from .minquad import QuadraticCurve
+from .geometry import Vec2
 
 SPEED2_FLOOR = 1e-300
 
@@ -57,7 +56,8 @@ class PolyCurve:
         self._position, self._d1, self._d2, self._d3 = (c or zero for c in derivatives)
 
     @classmethod
-    def from_quadratic(cls, curve: QuadraticCurve) -> "PolyCurve":
+    def from_quadratic(cls, curve) -> "PolyCurve":
+        """The curve a1 t^2 + a2 t + a3 of anything with those fields, as minquad.QuadraticCurve."""
         return cls([curve.a3, curve.a2, curve.a1])
 
     def position(self, t: float) -> Vec2:
@@ -197,35 +197,57 @@ def _adaptive(fn, t0: float, t1: float, cfg: QuadratureConfig) -> float:
             heapq.heappush(pieces, (-err, lo, hi, value))
 
 
+def _segment(name: str, integrand, c: PolyCurve, t0: float, t1: float, cfg: QuadratureConfig) -> float:
+    """Integral of integrand(c, t)^2 over [t0, t1].  A power or a quotient beyond the float
+    range (speed^1.5 underflowing to 0 below about 1e-108, say) raises DomainError."""
+    try:
+        return _adaptive(lambda t: integrand(c, t) ** 2, t0, t1, cfg)
+    except (ZeroDivisionError, OverflowError):
+        raise DomainError(f"{name} out of the float range on [{t0:g}, {t1:g}]") from None
+
+
 def segment_energy(c: PolyCurve, t0: float, t1: float,
                    cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
     """Integral of squared curvature over [t0, t1] in the curve parameter."""
-    return _adaptive(lambda t: curvature(c, t) ** 2, t0, t1, cfg)
+    return _segment("curvature", curvature, c, t0, t1, cfg)
 
 
 def segment_variation(c: PolyCurve, t0: float, t1: float,
                       cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
     """Integral of squared curvature rate over [t0, t1] in the curve parameter."""
-    return _adaptive(lambda t: curvature_rate(c, t) ** 2, t0, t1, cfg)
+    return _segment("curvature rate", curvature_rate, c, t0, t1, cfg)
+
+
+def _norm_and_offset(a1: Vec2, a2: Vec2) -> tuple[float, float]:
+    """n = |a1| and m = |a1 x a2| / |a1| = |a2| sin(angle), 0.0 when a1 = 0.  With a1 and n scaled
+    exactly by 2^-k near 1/n, m is |a1 x a2| / n to the bit where that is finite, and cannot overflow."""
+    n = a1.norm()
+    if n == 0.0:
+        return 0.0, 0.0
+    e = -math.frexp(n)[1]
+    return n, abs(math.ldexp(a1.x, e) * a2.y - math.ldexp(a1.y, e) * a2.x) / math.ldexp(n, e)
+
+
+def _energy(n: float, m: float) -> float:
+    """(3 pi / 4) |a1|^4 / |a1 x a2|^3 = (3 pi / 4) n / m^3 from _norm_and_offset; 0.0 when m = 0."""
+    return 0.75 * math.pi * (n / m) / m / m if m else 0.0
 
 
 def _quadratic_terms(c: PolyCurve) -> tuple[float, float]:
-    """|a1| and |a1 x a2| / |a1| (0.0 when straight) of a quadratic a1 t^2 + a2 t + a3."""
+    """n and m of _norm_and_offset for a quadratic PolyCurve a1 t^2 + a2 t + a3."""
     if not isinstance(c, PolyCurve) or len(c.coefficients) > 3:
         raise DomainError("whole-line integrals need a PolyCurve of degree 2 or less")
     # a1 = r''/2, and a1 x r'(t) = a1 x a2 for every t: take r'(t0).
     a1, v = c._d2[0] * 0.5, c._d1[0]
-    n = a1.norm()
+    n, m = _norm_and_offset(a1, v)
     if n == 0.0 and v.norm() == 0.0:
         raise ZeroSpeed("constant curve: the speed vanishes everywhere")
-    cr = cross2(a1, v)
-    return n, abs(cr) / n if cr else 0.0
+    return n, m
 
 
 def whole_line_energy(c: PolyCurve) -> float:
     """Squared-curvature integral over the whole real line: (3 pi / 4) |a1|^4 / |a1 x a2|^3."""
-    n, m = _quadratic_terms(c)
-    return 0.75 * math.pi * (n / m) / m / m if m else 0.0
+    return _energy(*_quadratic_terms(c))
 
 
 def whole_line_variation(c: PolyCurve) -> float:

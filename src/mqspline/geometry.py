@@ -2,7 +2,7 @@
 
 A triple (p1, p2, p3) is mapped by translate / scale / rotate into the
 canonical frame where p1 lands on the origin and p3 on (1, 0); the image
-of p2 is the only remaining degree of freedom and everything downstream
+q2 of p2 is the only remaining degree of freedom and everything downstream
 (the cubic solve, the minimizing parameter) depends on it alone.
 """
 
@@ -59,44 +59,14 @@ class Vec2:
         return (self.x, self.y)
 
 
-# Points and displacement vectors share the representation.
-Point2 = Vec2
-
-
 def cross2(u: Vec2, v: Vec2) -> float:
     """Signed scalar cross product u.x * v.y - u.y * v.x."""
     return u.x * v.y - u.y * v.x
 
 
-@dataclass(frozen=True)
-class NormalizedTriple:
-    """Similarity frame carrying a triple to the canonical position.
-
-    q2 is the canonical image of the middle point.  The frame maps
-    p -> rotation @ ((p - translation) / scale), so p1 -> (0,0) and
-    p3 -> (1,0) by construction.  rotation is stored as the row pair
-    ((c, s), (-s, c)) of an orientation-preserving orthogonal matrix.
-    """
-
-    q2: Vec2
-    translation: Vec2
-    scale: float
-    rotation: tuple[tuple[float, float], tuple[float, float]]
-
-    def to_canonical(self, p: Vec2) -> Vec2:
-        d = (p - self.translation) / self.scale
-        (a, b), (c, dd) = self.rotation
-        return Vec2(a * d.x + b * d.y, c * d.x + dd * d.y)
-
-    def from_canonical(self, q: Vec2) -> Vec2:
-        # Inverse of an orthogonal matrix is its transpose.
-        (a, b), (c, dd) = self.rotation
-        d = Vec2(a * q.x + c * q.y, b * q.x + dd * q.y)
-        return d * self.scale + self.translation
-
-
-def normalize_triple(p1: Point2, p2: Point2, p3: Point2) -> NormalizedTriple:
-    """Build the canonical frame for a non-collinear triple.
+def normalize_triple(p1: Vec2, p2: Vec2, p3: Vec2) -> Vec2:
+    """q2, the image of p2 under the similarity taking p1 to (0, 0) and p3 to (1, 0):
+    the complex ratio (p2 - p1) / (p3 - p1) of a non-collinear triple.
 
     Raises CoincidentEndpoints when |p3 - p1| <= 1e-12 times the largest
     coordinate magnitude, and CollinearPoints when
@@ -116,4 +86,4 @@ def normalize_triple(p1: Point2, p2: Point2, p3: Point2) -> NormalizedTriple:
     q2 = Vec2(c * d.x + s * d.y, -s * d.x + c * d.y)
     if abs(q2.y) <= COLLINEAR_REL_TOL:
         raise CollinearPoints(f"triple {p1.as_tuple()}, {p2.as_tuple()}, {p3.as_tuple()} is collinear")
-    return NormalizedTriple(q2=q2, translation=p1, scale=scale, rotation=((c, s), (-s, c)))
+    return q2

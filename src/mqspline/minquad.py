@@ -12,7 +12,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import DegenerateCurve, DomainError, NoRootInUnitInterval
-from .geometry import NormalizedTriple, Point2, Vec2, cross2, normalize_triple
+from .fairness import QuadratureConfig, _adaptive, _energy, _norm_and_offset
+from .geometry import Vec2, cross2, normalize_triple
 
 DEGENERATE_CROSS_REL_TOL = 1e-12
 
@@ -24,9 +25,6 @@ class QuadraticCurve:
     a1: Vec2
     a2: Vec2
     a3: Vec2
-
-    def point(self, t: float) -> Vec2:
-        return self.a1 * (t * t) + self.a2 * t + self.a3
 
     def velocity(self, t: float) -> Vec2:
         return self.a1 * (2.0 * t) + self.a2
@@ -47,11 +45,11 @@ class CubicSolve:
 
 @dataclass(frozen=True)
 class MinQuadSolution:
-    """Solved interior parameter and the recovered curve in original coordinates."""
+    """Solved interior parameter, the canonical middle point q2 it depends on, and the curve."""
 
     T: float
     curve: QuadraticCurve
-    frame: NormalizedTriple
+    q2: Vec2
 
 
 def cubic_residual(T, q2: Vec2):
@@ -133,15 +131,15 @@ def solve_min_T(q2: Vec2) -> float:
     return inside[0]
 
 
-def build_solution(p1: Point2, p2: Point2, p3: Point2) -> MinQuadSolution:
+def build_solution(p1: Vec2, p2: Vec2, p3: Vec2) -> MinQuadSolution:
     """Solve for T and recover the minimum-energy quadratic in original coordinates."""
-    frame = normalize_triple(p1, p2, p3)
-    T = solve_min_T(frame.q2)
+    q2 = normalize_triple(p1, p2, p3)
+    T = solve_min_T(q2)
     s3 = p3 - p1
     a1 = (p2 - p1 - s3 * T) / (T * T - T)
     a2 = s3 - a1
     curve = QuadraticCurve(a1=a1, a2=a2, a3=p1)
-    return MinQuadSolution(T=T, curve=curve, frame=frame)
+    return MinQuadSolution(T=T, curve=curve, q2=q2)
 
 
 def tangent_at_p2(sol: MinQuadSolution) -> Vec2:
@@ -151,9 +149,6 @@ def tangent_at_p2(sol: MinQuadSolution) -> Vec2:
 
 def arc_length_numeric(sol: MinQuadSolution) -> float:
     """Arc length over [0, 1] by adaptive quadrature of the speed; a cross-check."""
-    # Imported here: fairness imports this module.
-    from .fairness import QuadratureConfig, _adaptive
-
     curve = sol.curve
     return _adaptive(lambda t: curve.velocity(t).norm(), 0.0, 1.0,
                      QuadratureConfig(rel_tol=1e-12, abs_tol=1e-13, max_depth=50))
@@ -186,8 +181,9 @@ def arc_length_closed(sol: MinQuadSolution) -> float:
 
 
 def total_energy_closed(curve: QuadraticCurve) -> float:
-    """Whole-real-line elastic energy of a quadratic: (3 pi / 4) |a1|^4 / |a1 x a2|^3."""
-    cr = cross2(curve.a1, curve.a2)
-    if abs(cr) <= DEGENERATE_CROSS_REL_TOL * curve.a1.norm2() * curve.a2.norm():
+    """Whole-real-line elastic energy of a quadratic: (3 pi / 4) |a1|^4 / |a1 x a2|^3.
+    DegenerateCurve when the angle of a1 and a2 has sine |a1 x a2| / (|a1| |a2|) <= 1e-12."""
+    n, m = _norm_and_offset(curve.a1, curve.a2)
+    if m <= DEGENERATE_CROSS_REL_TOL * curve.a2.norm():
         raise DegenerateCurve("a1 and a2 are parallel; the traversal is a straight line")
-    return 0.75 * math.pi * curve.a1.norm2() ** 2 / abs(cr) ** 3
+    return _energy(n, m)

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 from .errors import CoincidentEndpoints, CollinearPoints, DomainError, TooFewPoints, ValidationError
 from .fairness import PolyCurve
-from .geometry import Point2, Vec2
+from .geometry import Vec2
 from .minquad import MinQuadSolution, build_solution, tangent_at_p2
 
 
@@ -25,7 +25,7 @@ class TangentMethod:
     """Base of the tangent methods.  Each subclass defines the tangent at p_i
     from its neighbours and their knots: interior(p_prev, p_i, p_next, t_prev, t_next)."""
 
-    def endpoints(self, points: Sequence[Point2], knots: Sequence[float]) -> tuple[Vec2, Vec2]:
+    def endpoints(self, points: Sequence[Vec2], knots: Sequence[float]) -> tuple[Vec2, Vec2]:
         """First and last tangents: the one-sided chords."""
         return ((points[1] - points[0]) / (knots[1] - knots[0]),
                 (points[-1] - points[-2]) / (knots[-1] - knots[-2]))
@@ -36,7 +36,11 @@ class TangentMethod:
         return ";".join(f"{f.name}={getattr(self, f.name):g}" for f in fields(self))
 
 
-def _min_energy_quadratic(p1: Point2, p2: Point2, p3: Point2) -> Optional[MinQuadSolution]:
+def _chord(p_prev: Vec2, p_next: Vec2, t_prev: float, t_next: float) -> Vec2:
+    return (p_next - p_prev) / (t_next - t_prev)
+
+
+def _min_energy_quadratic(p1: Vec2, p2: Vec2, p3: Vec2) -> Optional[MinQuadSolution]:
     """The minimum-energy quadratic through a triple, or None where none exists."""
     try:
         return build_solution(p1, p2, p3)
@@ -56,7 +60,7 @@ class MinEnergyQuad(TangentMethod):
     def interior(self, p_prev, p_i, p_next, t_prev, t_next):
         sol = _min_energy_quadratic(p_prev, p_i, p_next)
         if sol is None:
-            return tangent_catmull_rom(p_prev, p_next, t_prev, t_next)
+            return _chord(p_prev, p_next, t_prev, t_next)
         return tangent_at_p2(sol) / (t_next - t_prev)
 
     def endpoints(self, points, knots):
@@ -73,7 +77,7 @@ class CatmullRom(TangentMethod):
     """Chord tangents (p_next - p_prev) / (t_next - t_prev)."""
 
     def interior(self, p_prev, p_i, p_next, t_prev, t_next):
-        return tangent_catmull_rom(p_prev, p_next, t_prev, t_next)
+        return _chord(p_prev, p_next, t_prev, t_next)
 
 
 @dataclass(frozen=True)
@@ -83,7 +87,7 @@ class Cardinal(TangentMethod):
     tension: float = 0.0
 
     def interior(self, p_prev, p_i, p_next, t_prev, t_next):
-        return tangent_cardinal(p_prev, p_next, t_prev, t_next, self.tension)
+        return _chord(p_prev, p_next, t_prev, t_next) * (1.0 - self.tension)
 
 
 @dataclass(frozen=True)
@@ -100,8 +104,9 @@ class KochanekBartels(TangentMethod):
     continuity: float = 0.0
 
     def interior(self, p_prev, p_i, p_next, t_prev, t_next):
-        return tangent_kochanek_bartels(p_prev, p_i, p_next,
-                                        self.tension, self.bias, self.continuity)
+        w_in = (1.0 - self.tension) * (1.0 + self.bias) * (1.0 + self.continuity) * 0.5
+        w_out = (1.0 - self.tension) * (1.0 - self.bias) * (1.0 - self.continuity) * 0.5
+        return (p_i - p_prev) * w_in + (p_next - p_i) * w_out
 
 
 # Parameter presets matching the published method comparison.
@@ -142,38 +147,7 @@ def parse_method(spec: str) -> tuple[str, TangentMethod]:
     return label.format(*astuple(method)), method
 
 
-def tangent_catmull_rom(p_prev: Point2, p_next: Point2, t_prev: float, t_next: float) -> Vec2:
-    if not t_next > t_prev:
-        raise DomainError("knot values must increase")
-    return (p_next - p_prev) / (t_next - t_prev)
-
-
-def tangent_cardinal(p_prev: Point2, p_next: Point2, t_prev: float, t_next: float,
-                     tension: float) -> Vec2:
-    return tangent_catmull_rom(p_prev, p_next, t_prev, t_next) * (1.0 - tension)
-
-
-def tangent_kochanek_bartels(p_prev: Point2, p_i: Point2, p_next: Point2,
-                             tension: float, bias: float, continuity: float) -> Vec2:
-    w_in = (1.0 - tension) * (1.0 + bias) * (1.0 + continuity) * 0.5
-    w_out = (1.0 - tension) * (1.0 - bias) * (1.0 - continuity) * 0.5
-    return (p_i - p_prev) * w_in + (p_next - p_i) * w_out
-
-
-def tangent_min_energy(p_prev: Point2, p_i: Point2, p_next: Point2,
-                       t_prev: float, t_next: float) -> Vec2:
-    """Tangent of the minimum-energy quadratic at p_i, rescaled by the knot span.
-
-    Raises CollinearPoints or CoincidentEndpoints for degenerate triples;
-    callers wanting the chord fallback use build_spline.
-    """
-    if not t_next > t_prev:
-        raise DomainError("knot values must increase")
-    sol = build_solution(p_prev, p_i, p_next)
-    return tangent_at_p2(sol) / (t_next - t_prev)
-
-
-def hermite_eval(p_a: Point2, p_b: Point2, v_a: Vec2, v_b: Vec2, t: float) -> Vec2:
+def hermite_eval(p_a: Vec2, p_b: Vec2, v_a: Vec2, v_b: Vec2, t: float) -> Vec2:
     """Cubic Hermite basis evaluation on the unit interval."""
     t2 = t * t
     t3 = t2 * t
@@ -186,7 +160,7 @@ def uniform_knots(n: int) -> tuple[float, ...]:
     return tuple(float(i) for i in range(n))
 
 
-def chord_length_knots(points: Sequence[Point2]) -> tuple[float, ...]:
+def chord_length_knots(points: Sequence[Vec2]) -> tuple[float, ...]:
     """Cumulative chord-length knots starting at 0."""
     knots = [0.0]
     for a, b in zip(points, points[1:]):
@@ -194,6 +168,8 @@ def chord_length_knots(points: Sequence[Point2]) -> tuple[float, ...]:
         if step == 0.0:
             raise DomainError("repeated point makes chord-length knots non-increasing")
         knots.append(knots[-1] + step)
+    if knots[-1] == math.inf:  # the sums only grow, so an overflow anywhere shows here
+        raise DomainError("chord-length knots overflow: the summed chord length exceeds the float range")
     return tuple(knots)
 
 
@@ -217,7 +193,7 @@ class HermiteSpline:
     Tangents are derivatives with respect to the global knot parameter.
     """
 
-    points: tuple[Point2, ...]
+    points: tuple[Vec2, ...]
     knots: tuple[float, ...]
     tangents: tuple[Vec2, ...]
     method: TangentMethod
@@ -255,7 +231,7 @@ def middle_segment_index(n_points: int) -> int:
     return (n_points - 2) // 2
 
 
-def build_spline(points: Sequence[Point2], knots: Sequence[float],
+def build_spline(points: Sequence[Vec2], knots: Sequence[float],
                  method: TangentMethod) -> HermiteSpline:
     """Assign tangents per the chosen method and assemble the spline.
 

@@ -154,7 +154,7 @@ def _tan_substituted_energy(a1, a2):
 
 def _arc_guard_trips(sol):
     s3 = sol.curve.a1 + sol.curve.a2
-    s2 = sol.curve.point(sol.T) - sol.curve.a3
+    s2 = sol.curve.a1 * (sol.T * sol.T) + sol.curve.a2 * sol.T
     r1 = s3 * sol.T - s2
     r2 = s3 * (sol.T * sol.T) - s2
     denom = r1.norm() * r2.norm()
@@ -196,7 +196,7 @@ def test_criterion_5_argmin_property():
     step = grid[1] - grid[0]
     ok = True
     for p1, p2, p3 in random_triples(rng, 1000):
-        q2 = normalize_triple(p1, p2, p3).q2
+        q2 = normalize_triple(p1, p2, p3)
         T = solve_min_T(q2)
         argmin = grid[np.argmin(energy_objective(grid, q2))]
         if abs(T - argmin) > step:

@@ -188,6 +188,22 @@ class TestCompareCommand:
         assert len(rows) == 6
         assert all(r["status"].startswith("failed: non-finite coordinates") for r in rows)
 
+    @pytest.mark.parametrize("knots", ["uniform", "chord"])
+    def test_tiny_points_fail_their_cells(self, tmp_path, capsys, knots):
+        # set1 scaled by 1e-140: speed^1.5 underflows to 0 (uniform knots), or the squared
+        # curvature rate overflows (chord knots); each cell fails on one line.
+        path = tmp_path / "tiny.csv"
+        path.write_text("0,0\n1e-140,3e-140\n2e-140,1e-140\n3e-140,2e-140\n")
+        assert main(["compare", str(path), "--format", "csv", "--knots", knots]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.count("\n") == 7
+        rows = list(csv.DictReader(io.StringIO(captured.out)))
+        assert all(r["status"].startswith("failed: curvature") for r in rows)
+        assert all(r["status"].endswith("out of the float range on " + ("[1, 2]" if knots == "uniform" else
+                                                                      "[3.16228e-140, 5.39835e-140]"))
+                   for r in rows)
+
 
 class TestPlotCommand:
     def test_structure(self, tmp_path):
@@ -217,6 +233,12 @@ class TestPlotCommand:
         y1 = float(attrs['y1'].strip('"'))
         y2 = float(attrs['y2'].strip('"'))
         assert y1 == pytest.approx(y2, abs=1e-3)
+
+    def test_overflowing_chord_knots_name_the_cause(self, tmp_path, capsys):
+        _bad_inputs(tmp_path)
+        assert main(["plot", str(tmp_path / "overflow.csv"), str(tmp_path / "out.svg"), "--knots", "chord"]) == 2
+        assert capsys.readouterr().err == ("error: chord-length knots overflow: "
+                                           "the summed chord length exceeds the float range\n")
 
     def test_unwritable_path(self, capsys):
         assert main(["plot", "set1", "/nonexistent-dir/out.svg"]) == 2
@@ -273,6 +295,8 @@ def _bad_inputs(d):
     ("compare {d}/long_int.json", 2),
     ("solve -- -1e308,0 0,1 1e308,0", 2),
     ("plot {d}/overflow.csv {d}/out.svg", 2),
+    ("plot {d}/overflow.csv {d}/out.svg --knots chord", 2),
+    ("compare {d}/overflow.csv --knots chord", 2),
 ])
 def test_bad_input_exit_contract(tmp_path, capsys, argv, code):
     """Bad input exits 0, 1 or 2 with at most one error line, never a traceback."""

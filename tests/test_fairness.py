@@ -287,7 +287,9 @@ class TestWholeLineOracle:
 
     def test_straight_traversals_give_zero(self):
         doubling = PolyCurve([Vec2(1.0, 1.0), Vec2(-2.0, -4.0), Vec2(1.0, 2.0)])
-        for c in (LINE, doubling):
+        # a2 = a1 / 2 exactly, though a1 / |a1| has no exact ratio to a2.
+        halved = PolyCurve([Vec2(0.0, 0.0), Vec2(-2.5, -1.0), Vec2(-5.0, -2.0)])
+        for c in (LINE, doubling, halved):
             assert whole_line_energy(c) == 0.0
             assert whole_line_variation(c) == 0.0
 

@@ -34,24 +34,18 @@ def test_vec2_rejects_non_finite():
 
 
 def test_normalize_already_canonical():
-    frame = normalize_triple(Vec2(0, 0), Vec2(0.5, 1), Vec2(1, 0))
-    assert frame.q2.x == pytest.approx(0.5, abs=1e-15)
-    assert frame.q2.y == pytest.approx(1.0, abs=1e-15)
-    assert frame.scale == pytest.approx(1.0)
-    assert frame.rotation == ((1.0, 0.0), (-0.0, 1.0)) or frame.rotation == ((1.0, 0.0), (0.0, 1.0))
+    q2 = normalize_triple(Vec2(0, 0), Vec2(0.5, 1), Vec2(1, 0))
+    assert q2.x == pytest.approx(0.5, abs=1e-15)
+    assert q2.y == pytest.approx(1.0, abs=1e-15)
 
 
 def test_normalize_rotated_triple():
     # Hand-applied composition: translate by -p1 (identity here), scale by
     # 1/|p3-p1| = 1, rotate so (0,1) -> (1,0), i.e. by -90 degrees.
     # p2 = (-1, 0.5) -> (0.5, 1).
-    frame = normalize_triple(Vec2(0, 0), Vec2(-1, 0.5), Vec2(0, 1))
-    assert frame.q2.x == pytest.approx(0.5, abs=1e-15)
-    assert frame.q2.y == pytest.approx(1.0, abs=1e-15)
-    assert frame.scale == pytest.approx(1.0)
-    p3_img = frame.to_canonical(Vec2(0, 1))
-    assert p3_img.x == pytest.approx(1.0, abs=1e-15)
-    assert p3_img.y == pytest.approx(0.0, abs=1e-15)
+    q2 = normalize_triple(Vec2(0, 0), Vec2(-1, 0.5), Vec2(0, 1))
+    assert q2.x == pytest.approx(0.5, abs=1e-15)
+    assert q2.y == pytest.approx(1.0, abs=1e-15)
 
 
 def test_normalize_collinear_raises():
@@ -64,40 +58,23 @@ def test_normalize_coincident_endpoints_raises():
         normalize_triple(Vec2(1, 1), Vec2(2, 3), Vec2(1, 1))
 
 
-def test_rotation_orthogonal_unit_determinant():
-    rng = np.random.default_rng(7)
-    for p1, p2, p3 in random_triples(rng, 50):
-        (a, b), (c, d) = normalize_triple(p1, p2, p3).rotation
-        assert math.hypot(a, b) == pytest.approx(1.0, abs=1e-12)
-        assert math.hypot(c, d) == pytest.approx(1.0, abs=1e-12)
-        assert a * d - b * c == pytest.approx(1.0, abs=1e-12)
-
-
-def test_canonical_outputs_and_round_trip():
+def test_q2_is_complex_ratio():
+    # The similarity p -> (p - p1) / (p3 - p1) in complex arithmetic takes p1 to 0 and p3 to 1.
     rng = np.random.default_rng(11)
     for p1, p2, p3 in random_triples(rng, 200):
-        frame = normalize_triple(p1, p2, p3)
-        q1 = frame.to_canonical(p1)
-        q3 = frame.to_canonical(p3)
-        assert abs(q1.x) < 1e-12 and abs(q1.y) < 1e-12
-        assert q3.x == pytest.approx(1.0, abs=1e-12)
-        assert abs(q3.y) < 1e-12
-        scale = max(p.norm() for p in (p1, p2, p3)) + 1.0
-        for p in (p1, p2, p3):
-            back = frame.from_canonical(frame.to_canonical(p))
-            assert (back - p).norm() < 1e-12 * scale
-        # Reconstructing p2 from the stored q2 recovers the input.
-        back2 = frame.from_canonical(frame.q2)
-        assert (back2 - p2).norm() < 1e-12 * frame.scale
+        z1, z2, z3 = (complex(p.x, p.y) for p in (p1, p2, p3))
+        want = (z2 - z1) / (z3 - z1)
+        q2 = normalize_triple(p1, p2, p3)
+        assert abs(complex(q2.x, q2.y) - want) <= 1e-15 * abs(want)
 
 
 def test_q2_invariant_under_similarity():
     rng = np.random.default_rng(13)
     triples = random_triples(rng, 50)
     for p1, p2, p3 in triples:
-        q2 = normalize_triple(p1, p2, p3).q2
+        q2 = normalize_triple(p1, p2, p3)
         s = random_similarity(rng)
-        q2s = normalize_triple(s(p1), s(p2), s(p3)).q2
+        q2s = normalize_triple(s(p1), s(p2), s(p3))
         assert (q2s - q2).norm() < 1e-9
 
 

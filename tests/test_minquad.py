@@ -8,6 +8,7 @@ import pytest
 from scipy.integrate import quad
 
 from mqspline.errors import CollinearPoints, DegenerateCurve, DomainError
+from mqspline.fairness import PolyCurve
 from mqspline.geometry import Vec2, cross2
 from mqspline.minquad import (
     QuadraticCurve,
@@ -50,7 +51,7 @@ class TestCubicRoots:
         rng = np.random.default_rng(3)
         for p1, p2, p3 in random_triples(rng, 100):
             from mqspline.geometry import normalize_triple
-            q2 = normalize_triple(p1, p2, p3).q2
+            q2 = normalize_triple(p1, p2, p3)
             for r in cubic_roots(q2).roots:
                 assert abs(cubic_residual(r, q2)) < 1e-9
 
@@ -74,7 +75,7 @@ class TestSolveMinT:
         rng = np.random.default_rng(5)
         for p1, p2, p3 in random_triples(rng, 300):
             from mqspline.geometry import normalize_triple
-            q2 = normalize_triple(p1, p2, p3).q2
+            q2 = normalize_triple(p1, p2, p3)
             T = solve_min_T(q2)
             assert 0.0 < T < 1.0
             assert abs(cubic_residual(T, q2)) < 1e-10
@@ -99,7 +100,7 @@ class TestEnergyObjective:
         rng = np.random.default_rng(17)
         for p1, p2, p3 in random_triples(rng, 30):
             from mqspline.geometry import normalize_triple
-            q2 = normalize_triple(p1, p2, p3).q2
+            q2 = normalize_triple(p1, p2, p3)
             T = solve_min_T(q2)
             h = 1e-6
             h = min(h, T / 2, (1 - T) / 2)
@@ -117,7 +118,7 @@ class TestBuildSolution:
         assert sol.curve.a2.x == pytest.approx(1.0, abs=1e-12)
         assert sol.curve.a2.y == pytest.approx(4.0, abs=1e-12)
         assert sol.curve.a3.x == 0.0 and sol.curve.a3.y == 0.0
-        mid = sol.curve.point(0.5)
+        mid = PolyCurve.from_quadratic(sol.curve).position(0.5)
         assert mid.x == pytest.approx(0.5, abs=1e-12)
         assert mid.y == pytest.approx(1.0, abs=1e-12)
 
@@ -126,9 +127,10 @@ class TestBuildSolution:
         for p1, p2, p3 in random_triples(rng, 200):
             sol = build_solution(p1, p2, p3)
             tol = 1e-9 * (p3 - p1).norm()
-            assert (sol.curve.point(0.0) - p1).norm() < tol
-            assert (sol.curve.point(sol.T) - p2).norm() < tol
-            assert (sol.curve.point(1.0) - p3).norm() < tol
+            curve = PolyCurve.from_quadratic(sol.curve)
+            assert (curve.position(0.0) - p1).norm() < tol
+            assert (curve.position(sol.T) - p2).norm() < tol
+            assert (curve.position(1.0) - p3).norm() < tol
 
     def test_T_similarity_invariant(self):
         rng = np.random.default_rng(23)
@@ -247,6 +249,20 @@ class TestTotalEnergyClosed:
     def test_stretched_abscissa(self):
         curve = QuadraticCurve(a1=Vec2(0, 1), a2=Vec2(2, 0), a3=Vec2(0, 0))
         assert total_energy_closed(curve) == pytest.approx(3 * math.pi / 4 / 8, rel=1e-12)
+
+    def test_power_of_two_scaling_is_exact(self):
+        # E of the min-energy quadratic scales as 1/length^2, and scaling by 2^k is exact.
+        p1, p2, p3 = Vec2(0, 0), Vec2(1, 3), Vec2(2, 1)
+        unscaled = total_energy_closed(build_solution(p1, p2, p3).curve)
+        for k in range(-40, 41):
+            s = 2.0 ** k
+            scaled = total_energy_closed(build_solution(p1 * s, p2 * s, p3 * s).curve)
+            assert scaled * 4.0 ** k == unscaled
+
+    def test_huge_triple_underflows_to_zero(self):
+        # The true energy, about 1e-400, is below the float range; nothing overflows on the way.
+        sol = build_solution(Vec2(0, 0), Vec2(1e200, 3e200), Vec2(2e200, 0))
+        assert total_energy_closed(sol.curve) == 0.0
 
     def test_degenerate_raises(self):
         curve = QuadraticCurve(a1=Vec2(1, 1), a2=Vec2(2, 2), a3=Vec2(0, 0))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mqspline.errors import CollinearPoints, DomainError, TooFewPoints
+from mqspline.errors import DomainError, TooFewPoints
 from mqspline.fairness import PolyCurve, curvature, curvature_rate, segment_energy, segment_variation
 from mqspline.geometry import Vec2
 from mqspline.minquad import build_solution
@@ -17,10 +17,6 @@ from mqspline.spline import (
     chord_length_knots,
     hermite_eval,
     middle_segment_index,
-    tangent_cardinal,
-    tangent_catmull_rom,
-    tangent_kochanek_bartels,
-    tangent_min_energy,
     uniform_knots,
 )
 
@@ -38,63 +34,69 @@ def random_point_set(rng, n):
 
 
 class TestTangentRules:
+    """Each method's interior(p_prev, p_i, p_next, t_prev, t_next); p_i is unused by the chord rules."""
+
     def test_catmull_rom_chord(self):
-        v = tangent_catmull_rom(Vec2(0, 0), Vec2(2, 0), 0.0, 2.0)
+        v = CatmullRom().interior(Vec2(0, 0), Vec2(1, 5), Vec2(2, 0), 0.0, 2.0)
         assert v.as_tuple() == (1.0, 0.0)
 
     def test_catmull_rom_interior_of_square_set(self):
-        v = tangent_catmull_rom(Vec2(0, 0), Vec2(3, 3), 1.0, 3.0)
+        v = CatmullRom().interior(Vec2(0, 0), Vec2(1, 5), Vec2(3, 3), 1.0, 3.0)
         assert v.as_tuple() == (1.5, 1.5)
 
     def test_cardinal_reduces_to_catmull_rom(self):
         rng = np.random.default_rng(71)
         for _ in range(20):
-            a, b = Vec2(*rng.uniform(-3, 3, 2)), Vec2(*rng.uniform(-3, 3, 2))
+            a, p, b = (Vec2(*rng.uniform(-3, 3, 2)) for _ in range(3))
             t0 = rng.uniform(0, 1)
             t1 = t0 + rng.uniform(0.5, 2)
-            assert tangent_cardinal(a, b, t0, t1, 0.0) == tangent_catmull_rom(a, b, t0, t1)
+            assert Cardinal(0.0).interior(a, p, b, t0, t1) == CatmullRom().interior(a, p, b, t0, t1)
 
     def test_cardinal_full_tension_zero(self):
-        assert tangent_cardinal(Vec2(0, 0), Vec2(2, 0), 0.0, 2.0, 1.0).norm() == 0.0
+        assert Cardinal(1.0).interior(Vec2(0, 0), Vec2(1, 5), Vec2(2, 0), 0.0, 2.0).norm() == 0.0
 
     def test_cardinal_half_tension(self):
-        assert tangent_cardinal(Vec2(0, 0), Vec2(2, 0), 0.0, 2.0, 0.5).as_tuple() == (0.5, 0.0)
+        assert Cardinal(0.5).interior(Vec2(0, 0), Vec2(1, 5), Vec2(2, 0), 0.0, 2.0).as_tuple() == (0.5, 0.0)
 
     def test_kb_neutral_is_mean_chord(self):
-        v = tangent_kochanek_bartels(Vec2(0, 0), Vec2(1, 3), Vec2(2, 1), 0.0, 0.0, 0.0)
+        v = KochanekBartels(0.0, 0.0, 0.0).interior(Vec2(0, 0), Vec2(1, 3), Vec2(2, 1), 0.0, 2.0)
         assert v.as_tuple() == (1.0, 0.5)
 
     def test_kb_full_tension_zero(self):
-        v = tangent_kochanek_bartels(Vec2(0, 0), Vec2(1, 3), Vec2(2, 1), 1.0, 0.5, -0.3)
+        v = KochanekBartels(1.0, 0.5, -0.3).interior(Vec2(0, 0), Vec2(1, 3), Vec2(2, 1), 0.0, 2.0)
         assert v.norm() == 0.0
 
     def test_kb_biased(self):
-        v = tangent_kochanek_bartels(Vec2(0, 0), Vec2(1, 3), Vec2(2, 1), 0.0, 0.5, 0.0)
+        v = KochanekBartels(0.0, 0.5, 0.0).interior(Vec2(0, 0), Vec2(1, 3), Vec2(2, 1), 0.0, 2.0)
         assert v.x == pytest.approx(1.0, abs=1e-15)
         assert v.y == pytest.approx(1.75, abs=1e-15)
 
     def test_min_energy_symmetric_apex(self):
-        v = tangent_min_energy(Vec2(0, 0), Vec2(0.5, 1), Vec2(1, 0), 0.0, 2.0)
+        v = MinEnergyQuad().interior(Vec2(0, 0), Vec2(0.5, 1), Vec2(1, 0), 0.0, 2.0)
         assert v.x == pytest.approx(0.5, abs=1e-12)
         assert v.y == pytest.approx(0.0, abs=1e-12)
 
     def test_min_energy_symmetric_equals_catmull_rom(self):
         # Mirror-symmetric triple: T = 1/2 and the quadratic term drops out.
         p1, p2, p3 = Vec2(1, 1), Vec2(2, 4), Vec2(3, 1)
-        got = tangent_min_energy(p1, p2, p3, 0.0, 2.0)
-        want = tangent_catmull_rom(p1, p3, 0.0, 2.0)
+        got = MinEnergyQuad().interior(p1, p2, p3, 0.0, 2.0)
+        want = CatmullRom().interior(p1, p2, p3, 0.0, 2.0)
         assert (got - want).norm() < 1e-9
 
     def test_min_energy_consistent_with_solution(self):
         p1, p2, p3 = Vec2(0, 0), Vec2(1, 3), Vec2(2, 1)
         sol = build_solution(p1, p2, p3)
         expect = sol.curve.velocity(sol.T) / 2.0
-        got = tangent_min_energy(p1, p2, p3, 0.0, 2.0)
+        got = MinEnergyQuad().interior(p1, p2, p3, 0.0, 2.0)
         assert (got - expect).norm() < 1e-12
 
-    def test_min_energy_collinear_raises(self):
-        with pytest.raises(CollinearPoints):
-            tangent_min_energy(Vec2(0, 0), Vec2(1, 0), Vec2(2, 0), 0.0, 2.0)
+    def test_min_energy_collinear_falls_back_to_chord(self):
+        # No quadratic through a collinear triple (p2 between, beyond or before the ends):
+        # the chord tangent, the zero-energy limit.
+        p1, p3 = Vec2(0, 0), Vec2(2, 0)
+        for p2 in (Vec2(1, 0), Vec2(3, 0), Vec2(-1, 0)):
+            got = MinEnergyQuad().interior(p1, p2, p3, 0.0, 2.0)
+            assert got == CatmullRom().interior(p1, p2, p3, 0.0, 2.0) == Vec2(1.0, 0.0)
 
 
 class TestHermiteEval:
@@ -192,7 +194,7 @@ class TestBuildSpline:
         cr = build_spline(pts, knots, CatmullRom())
         assert ours.tangents[1] == cr.tangents[1] == Vec2(0.0, 0.0)
         assert ours.tangents[0] == cr.tangents[0]
-        assert ours.tangents[2] == tangent_min_energy(pts[1], pts[2], pts[3], knots[1], knots[3])
+        assert ours.tangents[2] == MinEnergyQuad().interior(pts[1], pts[2], pts[3], knots[1], knots[3])
 
     def test_similarity_equivariance(self):
         rng = np.random.default_rng(89)
