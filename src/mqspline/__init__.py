@@ -17,7 +17,6 @@ from .geometry import Vec2, cross2, normalize_triple
 from .minquad import (
     CubicSolve,
     MinQuadSolution,
-    QuadraticCurve,
     arc_length_closed,
     arc_length_numeric,
     build_solution,
@@ -47,7 +46,6 @@ from .spline import (
     TangentMethod,
     build_spline,
     chord_length_knots,
-    hermite_eval,
     middle_segment_index,
     uniform_knots,
 )

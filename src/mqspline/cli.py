@@ -213,16 +213,17 @@ def compute_comparison(point_sets: Sequence[PointSetFile],
                        methods: Sequence[tuple[str, TangentMethod]],
                        knot_convention: str,
                        quadrature: QuadratureConfig) -> list[ReportCell]:
-    """Middle-segment E and V per (set, method); failures recorded per cell."""
+    """Middle-segment E and V per (set, method); a failure, knots that cannot be made
+    among them, is recorded in its cell."""
     cells = []
     for ps in point_sets:
         if len(ps.points) < 4:
             raise ValidationError(f"point set {ps.name!r} needs at least 4 points for comparison")
-        knots = _knots_for(ps.points, knot_convention, ps.knots)
         convention = "explicit" if ps.knots is not None else knot_convention
         mid = middle_segment_index(len(ps.points))
         for mname, method in methods:
             try:
+                knots = _knots_for(ps.points, knot_convention, ps.knots)
                 ev = build_spline(ps.points, knots, method).segment_evaluator(mid)
                 energy = segment_energy(ev, knots[mid], knots[mid + 1], quadrature)
                 variation = segment_variation(ev, knots[mid], knots[mid + 1], quadrature)

@@ -21,18 +21,17 @@ from .geometry import Vec2
 SPEED2_FLOOR = 1e-300
 
 
-def _horner_xy(coeffs: tuple[Vec2, ...], s: float) -> tuple[float, float]:
-    """sum coeffs[k] s^k as (x, y) floats for a non-empty ascending tuple, from the top
+def _horner_xy(coeffs: Sequence[tuple[float, float]], s: float) -> tuple[float, float]:
+    """sum coeffs[k] s^k for a non-empty ascending sequence of (x, y) pairs, from the top
     coefficient: the operations of Vec2 arithmetic, without a Vec2 per step."""
-    top = coeffs[-1]
-    x, y = top.x, top.y
-    for c in coeffs[-2::-1]:
-        x = x * s + c.x
-        y = y * s + c.y
+    x, y = coeffs[-1]
+    for cx, cy in coeffs[-2::-1]:
+        x = x * s + cx
+        y = y * s + cy
     return x, y
 
 
-def _horner(coeffs: tuple[Vec2, ...], s: float) -> Vec2:
+def _horner(coeffs: Sequence[tuple[float, float]], s: float) -> Vec2:
     return Vec2(*_horner_xy(coeffs, s))
 
 
@@ -40,25 +39,33 @@ class PolyCurve:
     """Polynomial curve c0 + c1 s + c2 s^2 + ... in the local parameter s = (t - t0) / span.
 
     The coefficients of the first three derivatives in t are fixed at
-    construction and carry the 1 / span^k chain-rule factors, so fairness
-    integrals taken in t match the knot convention of a spline segment.
+    construction, as (x, y) float pairs, and carry the 1 / span^k chain-rule
+    factors, so fairness integrals taken in t match the knot convention of a
+    spline segment.  The minimum-energy quadratic a1 t^2 + a2 t + a3 is the
+    curve (a3, a2, a1) with t0 = 0 and span = 1.
     """
 
     def __init__(self, coefficients: Sequence[Vec2], t0: float = 0.0, span: float = 1.0):
         self.coefficients = tuple(coefficients)
         self.t0 = t0
         self.span = span
-        derivatives = [self.coefficients]
+        derivatives = [tuple((c.x, c.y) for c in self.coefficients)]
         for _ in range(3):
-            coeffs = derivatives[-1]
-            derivatives.append(tuple(coeffs[k] * (k / span) for k in range(1, len(coeffs))))
-        zero = (Vec2(0.0, 0.0),)
+            derivatives.append(tuple((x * (k / span), y * (k / span))
+                                     for k, (x, y) in enumerate(derivatives[-1][1:], 1)))
+        zero = ((0.0, 0.0),)
         self._position, self._d1, self._d2, self._d3 = (c or zero for c in derivatives)
 
     @classmethod
     def from_quadratic(cls, curve) -> "PolyCurve":
-        """The curve a1 t^2 + a2 t + a3 of anything with those fields, as minquad.QuadraticCurve."""
+        """The curve a1 t^2 + a2 t + a3 of anything with those fields, such as the PolyCurve
+        of a minimum-energy solution."""
         return cls([curve.a3, curve.a2, curve.a1])
+
+    # The coefficients of s^2, s and 1: a1, a2 and a3 of a quadratic a1 t^2 + a2 t + a3.
+    a1 = property(lambda self: self.coefficients[2])
+    a2 = property(lambda self: self.coefficients[1])
+    a3 = property(lambda self: self.coefficients[0])
 
     def position(self, t: float) -> Vec2:
         return _horner(self._position, (t - self.t0) / self.span)
@@ -218,31 +225,27 @@ def segment_variation(c: PolyCurve, t0: float, t1: float,
     return _segment("curvature rate", curvature_rate, c, t0, t1, cfg)
 
 
-def _norm_and_offset(a1: Vec2, a2: Vec2) -> tuple[float, float]:
-    """n = |a1| and m = |a1 x a2| / |a1| = |a2| sin(angle), 0.0 when a1 = 0.  With a1 and n scaled
-    exactly by 2^-k near 1/n, m is |a1 x a2| / n to the bit where that is finite, and cannot overflow."""
-    n = a1.norm()
-    if n == 0.0:
-        return 0.0, 0.0
-    e = -math.frexp(n)[1]
-    return n, abs(math.ldexp(a1.x, e) * a2.y - math.ldexp(a1.y, e) * a2.x) / math.ldexp(n, e)
-
-
 def _energy(n: float, m: float) -> float:
-    """(3 pi / 4) |a1|^4 / |a1 x a2|^3 = (3 pi / 4) n / m^3 from _norm_and_offset; 0.0 when m = 0."""
+    """(3 pi / 4) |a1|^4 / |a1 x a2|^3 = (3 pi / 4) n / m^3 from _quadratic_terms; 0.0 when m = 0."""
     return 0.75 * math.pi * (n / m) / m / m if m else 0.0
 
 
 def _quadratic_terms(c: PolyCurve) -> tuple[float, float]:
-    """n and m of _norm_and_offset for a quadratic PolyCurve a1 t^2 + a2 t + a3."""
+    """n = |a1| and m = |a1 x a2| / |a1| = |a2| sin(angle) of a quadratic PolyCurve
+    a1 t^2 + a2 t + a3; m = 0.0 when a1 = 0.  With a1 and n scaled exactly by 2^-k near 1/n,
+    m is |a1 x a2| / n to the bit where that is finite, and cannot overflow."""
     if not isinstance(c, PolyCurve) or len(c.coefficients) > 3:
         raise DomainError("whole-line integrals need a PolyCurve of degree 2 or less")
     # a1 = r''/2, and a1 x r'(t) = a1 x a2 for every t: take r'(t0).
-    a1, v = c._d2[0] * 0.5, c._d1[0]
-    n, m = _norm_and_offset(a1, v)
-    if n == 0.0 and v.norm() == 0.0:
-        raise ZeroSpeed("constant curve: the speed vanishes everywhere")
-    return n, m
+    (ax, ay), (vx, vy) = c._d2[0], c._d1[0]
+    ax, ay = ax * 0.5, ay * 0.5
+    n = math.hypot(ax, ay)
+    if n == 0.0:
+        if vx == 0.0 and vy == 0.0:
+            raise ZeroSpeed("constant curve: the speed vanishes everywhere")
+        return 0.0, 0.0
+    e = -math.frexp(n)[1]
+    return n, abs(math.ldexp(ax, e) * vy - math.ldexp(ay, e) * vx) / math.ldexp(n, e)
 
 
 def whole_line_energy(c: PolyCurve) -> float:

@@ -11,23 +11,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateCurve, DomainError, NoRootInUnitInterval
-from .fairness import QuadratureConfig, _adaptive, _energy, _norm_and_offset
+from .errors import DegenerateCurve, DomainError, NoRootInUnitInterval, ZeroSpeed
+from .fairness import PolyCurve, QuadratureConfig, _adaptive, _energy, _quadratic_terms
 from .geometry import Vec2, cross2, normalize_triple
 
 DEGENERATE_CROSS_REL_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class QuadraticCurve:
-    """Coefficients of r(t) = a1 t^2 + a2 t + a3."""
-
-    a1: Vec2
-    a2: Vec2
-    a3: Vec2
-
-    def velocity(self, t: float) -> Vec2:
-        return self.a1 * (2.0 * t) + self.a2
 
 
 @dataclass(frozen=True)
@@ -45,18 +33,16 @@ class CubicSolve:
 
 @dataclass(frozen=True)
 class MinQuadSolution:
-    """Solved interior parameter, the canonical middle point q2 it depends on, and the curve."""
+    """Solved interior parameter, the canonical middle point q2 it depends on, and the curve
+    a1 t^2 + a2 t + a3 as the PolyCurve (a3, a2, a1)."""
 
     T: float
-    curve: QuadraticCurve
+    curve: PolyCurve
     q2: Vec2
 
 
-def cubic_residual(T, q2: Vec2):
-    """Value of the parameter cubic at T; zero at stationary points of the energy.
-
-    Accepts a scalar or a numpy array of T values.
-    """
+def cubic_residual(T: float, q2: Vec2) -> float:
+    """Value of the parameter cubic at T; zero at stationary points of the energy."""
     n2 = q2.norm2()
     return T ** 3 - 1.5 * T ** 2 + (q2.x - n2) * T + 0.5 * n2
 
@@ -93,30 +79,20 @@ def cubic_roots(q2: Vec2) -> CubicSolve:
         for _ in range(2):
             deriv = _cubic_residual_deriv(r, q2)
             if deriv != 0.0:
-                r -= float(cubic_residual(r, q2)) / deriv
+                r -= cubic_residual(r, q2) / deriv
         polished.append(r)
     polished.sort()
     return CubicSolve(beta=beta, gamma=gamma, roots=tuple(polished))
 
 
-def energy_objective(T, q2: Vec2):
+def energy_objective(T: float, q2: Vec2) -> float:
     """Scaled energy of the quadratic hitting the canonical middle point at T.
 
     Equals ((q2.x - T)^2 + q2.y^2)^2 / (T - T^2); strictly positive on (0, 1).
-    Accepts a scalar or a numpy array of T values.
     """
-    if isinstance(T, (int, float)):  # a scalar, as in solve_min_T's tie-break, needs no numpy
-        t = float(T)
-        outside = not 0.0 < t < 1.0
-    else:
-        import numpy as np
-
-        t = np.asarray(T, dtype=float)
-        outside = np.any(t <= 0.0) or np.any(t >= 1.0)
-    if outside:
+    if not 0.0 < T < 1.0:
         raise DomainError("energy objective requires 0 < T < 1")
-    val = ((q2.x - t) ** 2 + q2.y ** 2) ** 2 / (t - t * t)
-    return float(val) if getattr(val, "ndim", 0) == 0 else val
+    return ((q2.x - T) ** 2 + q2.y ** 2) ** 2 / (T - T * T)
 
 
 def solve_min_T(q2: Vec2) -> float:
@@ -135,22 +111,24 @@ def build_solution(p1: Vec2, p2: Vec2, p3: Vec2) -> MinQuadSolution:
     """Solve for T and recover the minimum-energy quadratic in original coordinates."""
     q2 = normalize_triple(p1, p2, p3)
     T = solve_min_T(q2)
-    s3 = p3 - p1
-    a1 = (p2 - p1 - s3 * T) / (T * T - T)
-    a2 = s3 - a1
-    curve = QuadraticCurve(a1=a1, a2=a2, a3=p1)
-    return MinQuadSolution(T=T, curve=curve, q2=q2)
+    # a1 = (p2 - p1 - s3 T) / (T^2 - T) and a2 = s3 - a1 with s3 = p3 - p1: the operations of
+    # Vec2 arithmetic, on floats, so that two Vec2s are made here rather than six.
+    sx, sy = p3.x - p1.x, p3.y - p1.y
+    d = T * T - T
+    a1 = Vec2((p2.x - p1.x - sx * T) / d, (p2.y - p1.y - sy * T) / d)
+    a2 = Vec2(sx - a1.x, sy - a1.y)
+    return MinQuadSolution(T=T, curve=PolyCurve((p1, a2, a1)), q2=q2)
 
 
 def tangent_at_p2(sol: MinQuadSolution) -> Vec2:
     """Tangent vector of the quadratic at the middle point, r'(T) = 2 a1 T + a2."""
-    return sol.curve.velocity(sol.T)
+    return sol.curve.first_derivative(sol.T)
 
 
 def arc_length_numeric(sol: MinQuadSolution) -> float:
     """Arc length over [0, 1] by adaptive quadrature of the speed; a cross-check."""
     curve = sol.curve
-    return _adaptive(lambda t: curve.velocity(t).norm(), 0.0, 1.0,
+    return _adaptive(lambda t: curve.first_derivative(t).norm(), 0.0, 1.0,
                      QuadratureConfig(rel_tol=1e-12, abs_tol=1e-13, max_depth=50))
 
 
@@ -180,10 +158,14 @@ def arc_length_closed(sol: MinQuadSolution) -> float:
     return (rs + us * (us / rs) + m * (m / n * d)) / 4.0
 
 
-def total_energy_closed(curve: QuadraticCurve) -> float:
+def total_energy_closed(curve: PolyCurve) -> float:
     """Whole-real-line elastic energy of a quadratic: (3 pi / 4) |a1|^4 / |a1 x a2|^3.
-    DegenerateCurve when the angle of a1 and a2 has sine |a1 x a2| / (|a1| |a2|) <= 1e-12."""
-    n, m = _norm_and_offset(curve.a1, curve.a2)
-    if m <= DEGENERATE_CROSS_REL_TOL * curve.a2.norm():
+    DegenerateCurve when the angle of a1 and a2 has sine |a1 x a2| / (|a1| |a2|) <= 1e-12,
+    so for straight and constant curves."""
+    try:
+        n, m = _quadratic_terms(curve)
+    except ZeroSpeed:
+        raise DegenerateCurve("a1 and a2 vanish; the curve is a point") from None
+    if m <= DEGENERATE_CROSS_REL_TOL * math.hypot(*curve._d1[0]):  # |r'(t0)|: |a2| when span = 1
         raise DegenerateCurve("a1 and a2 are parallel; the traversal is a straight line")
     return _energy(n, m)

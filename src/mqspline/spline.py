@@ -68,8 +68,8 @@ class MinEnergyQuad(TangentMethod):
         if len(points) < 3:
             return first, last
         head, tail = _min_energy_quadratic(*points[:3]), _min_energy_quadratic(*points[-3:])
-        return (first if head is None else head.curve.velocity(0.0) / (knots[2] - knots[0]),
-                last if tail is None else tail.curve.velocity(1.0) / (knots[-1] - knots[-3]))
+        return (first if head is None else head.curve.first_derivative(0.0) / (knots[2] - knots[0]),
+                last if tail is None else tail.curve.first_derivative(1.0) / (knots[-1] - knots[-3]))
 
 
 @dataclass(frozen=True)
@@ -147,14 +147,6 @@ def parse_method(spec: str) -> tuple[str, TangentMethod]:
     return label.format(*astuple(method)), method
 
 
-def hermite_eval(p_a: Vec2, p_b: Vec2, v_a: Vec2, v_b: Vec2, t: float) -> Vec2:
-    """Cubic Hermite basis evaluation on the unit interval."""
-    t2 = t * t
-    t3 = t2 * t
-    return (p_a * (2.0 * t3 - 3.0 * t2 + 1.0) + p_b * (-2.0 * t3 + 3.0 * t2)
-            + v_a * (t3 - 2.0 * t2 + t) + v_b * (t3 - t2))
-
-
 def uniform_knots(n: int) -> tuple[float, ...]:
     """Knots t_i = i - 1 in 1-based terms, i.e. 0, 1, ..., n-1."""
     return tuple(float(i) for i in range(n))
@@ -216,14 +208,11 @@ class HermiteSpline:
                          self.knots[i], span)
 
     def evaluate(self, t: float) -> Vec2:
+        """Position at global parameter t: the power form of the segment that holds t."""
         if not self.knots[0] <= t <= self.knots[-1]:
             raise DomainError(f"parameter {t} outside [{self.knots[0]}, {self.knots[-1]}]")
-        i = bisect.bisect_right(self.knots, t) - 1
-        i = min(max(i, 0), self.segment_count - 1)
-        span = self.knots[i + 1] - self.knots[i]
-        s = (t - self.knots[i]) / span
-        return hermite_eval(self.points[i], self.points[i + 1],
-                            self.tangents[i] * span, self.tangents[i + 1] * span, s)
+        i = min(bisect.bisect_right(self.knots, t) - 1, self.segment_count - 1)
+        return self.segment_evaluator(i).position(t)
 
 
 def middle_segment_index(n_points: int) -> int:

@@ -27,7 +27,6 @@ from mqspline.minquad import (
     arc_length_closed,
     build_solution,
     cubic_roots,
-    energy_objective,
     solve_min_T,
     tangent_at_p2,
     total_energy_closed,
@@ -198,7 +197,8 @@ def test_criterion_5_argmin_property():
     for p1, p2, p3 in random_triples(rng, 1000):
         q2 = normalize_triple(p1, p2, p3)
         T = solve_min_T(q2)
-        argmin = grid[np.argmin(energy_objective(grid, q2))]
+        # minquad.energy_objective's closed form, over the whole grid at once.
+        argmin = grid[np.argmin(((q2.x - grid) ** 2 + q2.y ** 2) ** 2 / (grid - grid * grid))]
         if abs(T - argmin) > step:
             ok = False
             break

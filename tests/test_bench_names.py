@@ -1,5 +1,6 @@
-"""The benchmark's view of the library: every name bench/tracing.py patches exists, and one
-seed-1 pass of the `triples` workload passes its oracle checks.
+"""The benchmark's view of the library: every name bench/tracing.py patches exists, and the
+seed-1 ops of `triples`, `spline` (up to 1000 points) and `table` (the `set1` cells) pass
+their oracle checks.
 
 The benchmark is usually run untraced, so a renamed or deleted function would break only
 `bench/run.py --trace 1`; these tests catch it in the ordinary suite.
@@ -44,4 +45,21 @@ def test_triples_pass_their_checks(bench, tmp_path):
     ops = workloads.triples_ops(workloads.Lib(), 1, str(tmp_path))
     assert ops
     failures = [why for why in (op.check(op.run()) for op in ops) if why]
+    assert failures == []
+
+
+def test_small_spline_builds_pass_their_checks(bench, tmp_path):
+    _, workloads = bench
+    ops = [op for op in workloads.spline_ops(workloads.Lib(), 1, str(tmp_path)) if op.units <= 1000]
+    assert len(ops) == 24  # n = 100 and 1000, six methods, two knot conventions
+    failures = [why for why in (op.check(op.run()) for op in ops) if why]
+    assert failures == []
+
+
+def test_set1_cells_pass_their_checks(bench, tmp_path):
+    _, workloads = bench
+    ops = workloads.table_ops(workloads.Lib(), 1, str(tmp_path))[:12]
+    outputs = [op.run() for op in ops]
+    assert [cell.set_name for (cell,) in outputs] == ["set1"] * 12  # six methods, two knot conventions
+    failures = [why for why in (op.check(out) for op, out in zip(ops, outputs)) if why]
     assert failures == []

@@ -179,14 +179,33 @@ class TestCompareCommand:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert all(r["status"].startswith("failed: no convergence") for r in rows)
 
-    def test_overflowing_points_fail_their_cells(self, tmp_path, capsys):
+    @pytest.mark.parametrize("knots", ["uniform", "chord"])
+    def test_overflowing_points_fail_their_cells(self, tmp_path, capsys, knots):
+        # Uniform knots: the tangents overflow.  Chord knots: the knots do, in every cell.
+        cause = {"uniform": "failed: non-finite coordinates",
+                 "chord": "failed: chord-length knots overflow: the summed chord length "
+                          "exceeds the float range"}[knots]
         _bad_inputs(tmp_path)
-        assert main(["compare", str(tmp_path / "overflow.csv"), "--format", "csv"]) == 1
+        assert main(["compare", str(tmp_path / "overflow.csv"), "--format", "csv", "--knots", knots]) == 1
         captured = capsys.readouterr()
         assert captured.err == ""
         rows = list(csv.DictReader(io.StringIO(captured.out)))
         assert len(rows) == 6
-        assert all(r["status"].startswith("failed: non-finite coordinates") for r in rows)
+        assert all(r["status"].startswith(cause) for r in rows)
+
+    def test_failed_chord_knots_leave_other_sets_their_rows(self, tmp_path, capsys):
+        _bad_inputs(tmp_path)
+        (tmp_path / "repeated.csv").write_text("0,0\n1,1\n1,1\n3,1\n")
+        argv = ["compare", str(tmp_path / "pts.csv"), str(tmp_path / "repeated.csv"),
+                "--knots", "chord", "--format", "csv"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        rows = list(csv.DictReader(io.StringIO(captured.out)))
+        assert [r["set"] for r in rows] == ["pts"] * 6 + ["repeated"] * 6
+        assert all(r["status"] == "ok" and r["knot_convention"] == "chord" for r in rows[:6])
+        assert all(r["status"] == "failed: repeated point makes chord-length knots non-increasing"
+                   for r in rows[6:])
 
     @pytest.mark.parametrize("knots", ["uniform", "chord"])
     def test_tiny_points_fail_their_cells(self, tmp_path, capsys, knots):
@@ -296,7 +315,6 @@ def _bad_inputs(d):
     ("solve -- -1e308,0 0,1 1e308,0", 2),
     ("plot {d}/overflow.csv {d}/out.svg", 2),
     ("plot {d}/overflow.csv {d}/out.svg --knots chord", 2),
-    ("compare {d}/overflow.csv --knots chord", 2),
 ])
 def test_bad_input_exit_contract(tmp_path, capsys, argv, code):
     """Bad input exits 0, 1 or 2 with at most one error line, never a traceback."""

@@ -25,7 +25,7 @@ from mqspline.fairness import (
     whole_line_variation,
 )
 from mqspline.geometry import Vec2
-from mqspline.minquad import QuadraticCurve, total_energy_closed
+from mqspline.minquad import total_energy_closed
 from mqspline.spline import (
     COMPARISON_METHODS,
     CatmullRom,

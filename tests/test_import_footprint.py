@@ -2,13 +2,18 @@
 
 A fresh interpreter imports the CLI, solves a triple, builds a min-energy
 spline, integrates a segment, runs `compare --preset table1` and `plot`, and
-then shows which modules it pulled in.  numpy and scipy are test
-dependencies only: scipy's `quad` is the tests' quadrature oracle.
+then shows which modules it pulled in.  That sees only the paths it runs, so
+the source is also searched for an import of either at any depth.  numpy and
+scipy are test dependencies only: scipy's `quad` is the tests' quadrature oracle.
 """
 
+import ast
+import glob
 import os
 import subprocess
 import sys
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 SCRIPT = """
 import os, sys, tempfile
@@ -30,8 +35,26 @@ print(sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy")))
 
 
 def test_no_numpy_or_scipy_at_runtime():
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
     proc = subprocess.run([sys.executable, "-c", SCRIPT], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_no_numpy_or_scipy_import_in_source():
+    paths = sorted(glob.glob(os.path.join(SRC, "mqspline", "*.py")))
+    assert paths
+    found = []
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        for node in ast.walk(tree):  # every depth: module level, functions, branches
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{os.path.basename(path)}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] in ("numpy", "scipy")]
+    assert found == []

@@ -11,7 +11,6 @@ from mqspline.errors import CollinearPoints, DegenerateCurve, DomainError
 from mqspline.fairness import PolyCurve
 from mqspline.geometry import Vec2, cross2
 from mqspline.minquad import (
-    QuadraticCurve,
     arc_length_closed,
     arc_length_numeric,
     build_solution,
@@ -24,6 +23,11 @@ from mqspline.minquad import (
 )
 
 from _rand import random_similarity, random_triples
+
+
+def quadratic(a1, a2):
+    """The curve a1 t^2 + a2 t through the origin."""
+    return PolyCurve((Vec2(0, 0), a2, a1))
 
 
 class TestCubicResidual:
@@ -68,7 +72,8 @@ class TestSolveMinT:
         # Brute-force oracle: scan the energy objective on a dense grid.
         q2 = Vec2(0.25, 0.5)
         grid = np.linspace(1e-6, 1.0 - 1e-6, 100_000)
-        oracle = grid[np.argmin(energy_objective(grid, q2))]
+        # energy_objective's closed form, over the whole grid at once.
+        oracle = grid[np.argmin(((q2.x - grid) ** 2 + q2.y ** 2) ** 2 / (grid - grid * grid))]
         assert abs(solve_min_T(q2) - oracle) < grid[1] - grid[0]
 
     def test_residual_polished(self):
@@ -216,8 +221,8 @@ class TestArcLength:
     ])
     def test_every_branch_vs_quadrature(self, a1, a2):
         sol = build_solution(Vec2(0, 0), Vec2(0.5, 1), Vec2(1, 0))
-        curve = QuadraticCurve(a1=Vec2(*a1), a2=Vec2(*a2), a3=Vec2(0, 0))
-        speed = lambda t: curve.velocity(t).norm()
+        curve = quadratic(Vec2(*a1), Vec2(*a2))
+        speed = lambda t: curve.first_derivative(t).norm()
         oracle, _ = quad(speed, 0.0, 1.0, points=[0.5], epsabs=0.0, epsrel=1e-13)
         got = arc_length_closed(dataclasses.replace(sol, curve=curve))
         assert got == pytest.approx(oracle, rel=1e-12)
@@ -238,16 +243,16 @@ class TestArcLength:
 
 class TestTotalEnergyClosed:
     def test_unit_parabola(self):
-        curve = QuadraticCurve(a1=Vec2(0, 1), a2=Vec2(1, 0), a3=Vec2(0, 0))
+        curve = quadratic(Vec2(0, 1), Vec2(1, 0))
         assert total_energy_closed(curve) == pytest.approx(3 * math.pi / 4, rel=1e-12)
 
     @pytest.mark.parametrize("a", [0.5, 1.0, 2.0, -3.0])
     def test_scaled_parabola(self, a):
-        curve = QuadraticCurve(a1=Vec2(0, a), a2=Vec2(1, 0), a3=Vec2(0, 0))
+        curve = quadratic(Vec2(0, a), Vec2(1, 0))
         assert total_energy_closed(curve) == pytest.approx(3 * math.pi / 4 * abs(a), rel=1e-12)
 
     def test_stretched_abscissa(self):
-        curve = QuadraticCurve(a1=Vec2(0, 1), a2=Vec2(2, 0), a3=Vec2(0, 0))
+        curve = quadratic(Vec2(0, 1), Vec2(2, 0))
         assert total_energy_closed(curve) == pytest.approx(3 * math.pi / 4 / 8, rel=1e-12)
 
     def test_power_of_two_scaling_is_exact(self):
@@ -265,9 +270,14 @@ class TestTotalEnergyClosed:
         assert total_energy_closed(sol.curve) == 0.0
 
     def test_degenerate_raises(self):
-        curve = QuadraticCurve(a1=Vec2(1, 1), a2=Vec2(2, 2), a3=Vec2(0, 0))
+        curve = quadratic(Vec2(1, 1), Vec2(2, 2))
         with pytest.raises(DegenerateCurve):
             total_energy_closed(curve)
+
+    @pytest.mark.parametrize("a2", [Vec2(3, -1), Vec2(0, 0)])
+    def test_line_and_point_raise_degenerate(self, a2):
+        with pytest.raises(DegenerateCurve):
+            total_energy_closed(quadratic(Vec2(0, 0), a2))
 
     def test_matches_coordinate_form(self):
         rng = np.random.default_rng(47)
@@ -276,7 +286,7 @@ class TestTotalEnergyClosed:
             a2 = Vec2(*rng.uniform(-3, 3, 2))
             if abs(cross2(a1, a2)) < 1e-3:
                 continue
-            curve = QuadraticCurve(a1=a1, a2=a2, a3=Vec2(0, 0))
+            curve = quadratic(a1, a2)
             expected = 0.75 * math.pi * (a1.x ** 2 + a1.y ** 2) ** 2 / abs(
                 a1.x * a2.y - a2.x * a1.y) ** 3
             assert total_energy_closed(curve) == pytest.approx(expected, rel=1e-12)

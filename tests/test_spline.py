@@ -11,11 +11,11 @@ from mqspline.pointsets import POINT_SET_1, POINT_SET_2
 from mqspline.spline import (
     Cardinal,
     CatmullRom,
+    HermiteSpline,
     KochanekBartels,
     MinEnergyQuad,
     build_spline,
     chord_length_knots,
-    hermite_eval,
     middle_segment_index,
     uniform_knots,
 )
@@ -86,7 +86,7 @@ class TestTangentRules:
     def test_min_energy_consistent_with_solution(self):
         p1, p2, p3 = Vec2(0, 0), Vec2(1, 3), Vec2(2, 1)
         sol = build_solution(p1, p2, p3)
-        expect = sol.curve.velocity(sol.T) / 2.0
+        expect = sol.curve.first_derivative(sol.T) / 2.0
         got = MinEnergyQuad().interior(p1, p2, p3, 0.0, 2.0)
         assert (got - expect).norm() < 1e-12
 
@@ -99,24 +99,33 @@ class TestTangentRules:
             assert got == CatmullRom().interior(p1, p2, p3, 0.0, 2.0) == Vec2(1.0, 0.0)
 
 
+def unit_segment(pa, pb, va, vb):
+    """The power form of the Hermite segment from pa to pb over [0, 1] with end tangents va, vb."""
+    return HermiteSpline((pa, pb), (0.0, 1.0), (va, vb), CatmullRom()).segment_evaluator(0)
+
+
 class TestHermiteEval:
     def test_endpoints(self):
         pa, pb = Vec2(0.2, -1.0), Vec2(3.0, 2.0)
         va, vb = Vec2(1.0, 4.0), Vec2(-2.0, 0.5)
-        assert hermite_eval(pa, pb, va, vb, 0.0) == pa
-        assert hermite_eval(pa, pb, va, vb, 1.0) == pb
+        seg = unit_segment(pa, pb, va, vb)
+        assert seg.position(0.0) == pa
+        # The power form sums four terms at s = 1 (x = 2.999999999999999 here), so pb holds
+        # to round-off, not bit for bit.
+        assert (seg.position(1.0) - pb).norm() < 1e-14
 
     def test_endpoint_derivatives(self):
         pa, pb = Vec2(0.0, 0.0), Vec2(1.0, 1.0)
         va, vb = Vec2(0.5, 2.0), Vec2(-1.0, 0.25)
+        seg = unit_segment(pa, pb, va, vb)
         h = 1e-7
-        d0 = (hermite_eval(pa, pb, va, vb, h) - hermite_eval(pa, pb, va, vb, 0.0)) / h
-        d1 = (hermite_eval(pa, pb, va, vb, 1.0) - hermite_eval(pa, pb, va, vb, 1.0 - h)) / h
+        d0 = (seg.position(h) - seg.position(0.0)) / h
+        d1 = (seg.position(1.0) - seg.position(1.0 - h)) / h
         assert (d0 - va).norm() < 1e-5
         assert (d1 - vb).norm() < 1e-5
 
     def test_line_reproduction(self):
-        p = hermite_eval(Vec2(0, 0), Vec2(1, 0), Vec2(1, 0), Vec2(1, 0), 0.5)
+        p = unit_segment(Vec2(0, 0), Vec2(1, 0), Vec2(1, 0), Vec2(1, 0)).position(0.5)
         assert p.x == pytest.approx(0.5, abs=1e-15)
         assert p.y == 0.0
 
