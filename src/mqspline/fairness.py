@@ -3,8 +3,11 @@
 Energy E integrates squared signed curvature over the curve PARAMETER
 (dt, not arc length); curvature variation V integrates the squared
 parameter-derivative of curvature.  Segment integrals are taken by adaptive
-Gauss-Kronrod quadrature (QUADPACK's 21-point rule, in pure Python).  The
-whole-line integrals of a quadratic are closed forms in its coefficients.
+Gauss-Kronrod quadrature (QUADPACK's 21-point rule, in pure Python) over one
+float kernel per curve: _curvature_fns unpacks the derivative coefficients
+once, and its values are == to the pointwise curvature and curvature_rate,
+which call it.  The whole-line integrals of a quadratic are closed forms in
+its coefficients.
 """
 
 from __future__ import annotations
@@ -96,15 +99,52 @@ class QuadratureConfig:
 DEFAULT_QUADRATURE = QuadratureConfig()
 
 
+def _curvature_fns(c: PolyCurve):
+    """kappa(t) and kappa-dot(t) of a PolyCurve of degree 3 or less, as two closures over
+    its derivative coefficients, unpacked once into floats.
+
+    Each closure does the float operations of _horner_xy on the derivative tables, written
+    out: a table is padded to degree 3 with (0.0, 0.0), and 0.0 * s + c == c for finite s,
+    so every value is == to Horner's on the unpadded table.  The two closures repeat their
+    common lines instead of sharing a helper: a call per quadrature node is the cost saved.
+    """
+    if len(c._d1) > 3:
+        raise DomainError("curvature needs a PolyCurve of degree 3 or less")
+    pad = ((0.0, 0.0),) * 3
+    (e0x, e0y), (e1x, e1y), (e2x, e2y) = (c._d1 + pad)[:3]
+    (f0x, f0y), (f1x, f1y) = (c._d2 + pad)[:2]
+    g0x, g0y = c._d3[0]
+    t0, span = c.t0, c.span
+
+    def kappa(t: float) -> float:
+        s = (t - t0) / span
+        vx = (e2x * s + e1x) * s + e0x
+        vy = (e2y * s + e1y) * s + e0y
+        ax = f1x * s + f0x
+        ay = f1y * s + f0y
+        speed2 = vx * vx + vy * vy
+        if speed2 <= SPEED2_FLOOR:
+            raise ZeroSpeed(f"vanishing speed at t = {t}")
+        return (vx * ay - vy * ax) / speed2 ** 1.5
+
+    def kappa_rate(t: float) -> float:
+        s = (t - t0) / span
+        vx = (e2x * s + e1x) * s + e0x
+        vy = (e2y * s + e1y) * s + e0y
+        ax = f1x * s + f0x
+        ay = f1y * s + f0y
+        speed2 = vx * vx + vy * vy
+        if speed2 <= SPEED2_FLOOR:
+            raise ZeroSpeed(f"vanishing speed at t = {t}")
+        num = (vx * g0y - vy * g0x) * speed2 - 3.0 * (vx * ax + vy * ay) * (vx * ay - vy * ax)
+        return num / speed2 ** 2.5
+
+    return kappa, kappa_rate
+
+
 def curvature(c: PolyCurve, t: float) -> float:
     """Signed curvature (x'y'' - y'x'') / (x'^2 + y'^2)^(3/2)."""
-    s = (t - c.t0) / c.span
-    vx, vy = _horner_xy(c._d1, s)
-    ax, ay = _horner_xy(c._d2, s)
-    speed2 = vx * vx + vy * vy
-    if speed2 <= SPEED2_FLOOR:
-        raise ZeroSpeed(f"vanishing speed at t = {t}")
-    return (vx * ay - vy * ax) / speed2 ** 1.5
+    return _curvature_fns(c)[0](t)
 
 
 def curvature_rate(c: PolyCurve, t: float) -> float:
@@ -114,15 +154,7 @@ def curvature_rate(c: PolyCurve, t: float) -> float:
     third derivative is zero and this reduces to
     -3 (x'y'' - y'x'')(x'x'' + y'y'') / (x'^2 + y'^2)^(5/2).
     """
-    s = (t - c.t0) / c.span
-    vx, vy = _horner_xy(c._d1, s)
-    ax, ay = _horner_xy(c._d2, s)
-    jx, jy = _horner_xy(c._d3, s)
-    speed2 = vx * vx + vy * vy
-    if speed2 <= SPEED2_FLOOR:
-        raise ZeroSpeed(f"vanishing speed at t = {t}")
-    num = (vx * jy - vy * jx) * speed2 - 3.0 * (vx * ax + vy * ay) * (vx * ay - vy * ax)
-    return num / speed2 ** 2.5
+    return _curvature_fns(c)[1](t)
 
 
 # QUADPACK's dqk21 (Piessens et al. 1983): the 21-point Kronrod rule and its embedded
@@ -204,11 +236,13 @@ def _adaptive(fn, t0: float, t1: float, cfg: QuadratureConfig) -> float:
             heapq.heappush(pieces, (-err, lo, hi, value))
 
 
-def _segment(name: str, integrand, c: PolyCurve, t0: float, t1: float, cfg: QuadratureConfig) -> float:
-    """Integral of integrand(c, t)^2 over [t0, t1].  A power or a quotient beyond the float
-    range (speed^1.5 underflowing to 0 below about 1e-108, say) raises DomainError."""
+def _segment(name: str, which: int, c: PolyCurve, t0: float, t1: float, cfg: QuadratureConfig) -> float:
+    """Integral over [t0, t1] of the square of _curvature_fns(c)[which], built once for the
+    integral.  A power or a quotient beyond the float range (speed^1.5 underflowing to 0
+    below about 1e-108, say) raises DomainError."""
+    k = _curvature_fns(c)[which]
     try:
-        return _adaptive(lambda t: integrand(c, t) ** 2, t0, t1, cfg)
+        return _adaptive(lambda t: k(t) ** 2, t0, t1, cfg)
     except (ZeroDivisionError, OverflowError):
         raise DomainError(f"{name} out of the float range on [{t0:g}, {t1:g}]") from None
 
@@ -216,13 +250,13 @@ def _segment(name: str, integrand, c: PolyCurve, t0: float, t1: float, cfg: Quad
 def segment_energy(c: PolyCurve, t0: float, t1: float,
                    cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
     """Integral of squared curvature over [t0, t1] in the curve parameter."""
-    return _segment("curvature", curvature, c, t0, t1, cfg)
+    return _segment("curvature", 0, c, t0, t1, cfg)
 
 
 def segment_variation(c: PolyCurve, t0: float, t1: float,
                       cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
     """Integral of squared curvature rate over [t0, t1] in the curve parameter."""
-    return _segment("curvature rate", curvature_rate, c, t0, t1, cfg)
+    return _segment("curvature rate", 1, c, t0, t1, cfg)
 
 
 def _energy(n: float, m: float) -> float:

@@ -202,9 +202,14 @@ class HermiteSpline:
             raise IndexError(f"segment index {i} out of range [0, {self.segment_count})")
         p_a, p_b = self.points[i], self.points[i + 1]
         span = self.knots[i + 1] - self.knots[i]
-        # Local tangents m = span * v.
+        # Local tangents m = span * v.  The cubic's coefficients are taken on floats, in the
+        # order of operations of Vec2 arithmetic, and wrapped in a Vec2 for its finiteness check.
         m_a, m_b = self.tangents[i] * span, self.tangents[i + 1] * span
-        return PolyCurve((p_a, m_a, (p_b - p_a) * 3.0 - m_a * 2.0 - m_b, (p_a - p_b) * 2.0 + m_a + m_b),
+        return PolyCurve((p_a, m_a,
+                          Vec2(((p_b.x - p_a.x) * 3.0 - m_a.x * 2.0) - m_b.x,
+                               ((p_b.y - p_a.y) * 3.0 - m_a.y * 2.0) - m_b.y),
+                          Vec2(((p_a.x - p_b.x) * 2.0 + m_a.x) + m_b.x,
+                               ((p_a.y - p_b.y) * 2.0 + m_a.y) + m_b.y)),
                          self.knots[i], span)
 
     def evaluate(self, t: float) -> Vec2:

@@ -1,5 +1,5 @@
 """The benchmark's view of the library: every name bench/tracing.py patches exists, and the
-seed-1 ops of `triples`, `spline` (up to 1000 points) and `table` (the `set1` cells) pass
+seed-1 ops of `triples`, `spline` (up to 1000 points) and `table` (the whole pass) pass
 their oracle checks.
 
 The benchmark is usually run untraced, so a renamed or deleted function would break only
@@ -56,10 +56,9 @@ def test_small_spline_builds_pass_their_checks(bench, tmp_path):
     assert failures == []
 
 
-def test_set1_cells_pass_their_checks(bench, tmp_path):
+def test_table_cells_pass_their_checks(bench, tmp_path):
     _, workloads = bench
-    ops = workloads.table_ops(workloads.Lib(), 1, str(tmp_path))[:12]
-    outputs = [op.run() for op in ops]
-    assert [cell.set_name for (cell,) in outputs] == ["set1"] * 12  # six methods, two knot conventions
-    failures = [why for why in (op.check(out) for op, out in zip(ops, outputs)) if why]
+    ops = workloads.table_ops(workloads.Lib(), 1, str(tmp_path))
+    assert len(ops) == 336  # 4 paper sets and 24 walks, six methods, two knot conventions
+    failures = [why for why in (op.check(op.run()) for op in ops) if why]
     assert failures == []

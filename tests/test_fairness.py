@@ -14,8 +14,11 @@ from scipy.integrate import quad
 
 from mqspline.errors import DomainError, QuadratureDivergence, ZeroSpeed
 from mqspline.fairness import (
+    DEFAULT_QUADRATURE,
+    SPEED2_FLOOR,
     PolyCurve,
     QuadratureConfig,
+    _adaptive,
     _gk21,
     curvature,
     curvature_rate,
@@ -26,6 +29,7 @@ from mqspline.fairness import (
 )
 from mqspline.geometry import Vec2
 from mqspline.minquad import total_energy_closed
+from mqspline.pointsets import POINT_SET_1
 from mqspline.spline import (
     COMPARISON_METHODS,
     CatmullRom,
@@ -64,18 +68,73 @@ class TestCurvature:
             curvature(stationary, 0.0)
 
 
+def _reference_fns(c):
+    """kappa and kappa-dot of c from its Vec2 derivatives: the formulas written out once more."""
+
+    def kappa(t):
+        v, a = c.first_derivative(t), c.second_derivative(t)
+        speed2 = v.norm2()
+        if speed2 <= SPEED2_FLOOR:
+            raise ZeroSpeed(f"vanishing speed at t = {t}")
+        return (v.x * a.y - v.y * a.x) / speed2 ** 1.5
+
+    def kappa_rate(t):
+        v, a, j = c.first_derivative(t), c.second_derivative(t), c.third_derivative(t)
+        speed2 = v.norm2()
+        if speed2 <= SPEED2_FLOOR:
+            raise ZeroSpeed(f"vanishing speed at t = {t}")
+        num = (v.x * j.y - v.y * j.x) * speed2 - 3.0 * (v.x * a.x + v.y * a.y) * (v.x * a.y - v.y * a.x)
+        return num / speed2 ** 2.5
+
+    return kappa, kappa_rate
+
+
+def _outcome(fn, *args):
+    """fn(*args), or ZeroSpeed where it raised that."""
+    try:
+        return fn(*args)
+    except ZeroSpeed as exc:
+        return type(exc)
+
+
 class TestFloatEvaluation:
+    """The float kernel gives values == to the formulas on the Vec2 derivatives."""
+
     def test_equal_to_the_formulas_on_the_derivative_vectors(self):
         rng = np.random.default_rng(29)
-        for _ in range(200):
-            c = PolyCurve([Vec2(*rng.uniform(-2, 2, 2)) for _ in range(4)],
+        for degree in [0, 1, 2, 3] * 100:
+            c = PolyCurve([Vec2(*rng.uniform(-2, 2, 2)) for _ in range(degree + 1)],
                           t0=rng.uniform(-3, 3), span=10.0 ** rng.uniform(-1, 1))
+            kappa, kappa_rate = _reference_fns(c)
+            # s = (t - t0) / span in [-1.5, 1.5]: negative s and s past 1 too.
             t = c.t0 + c.span * rng.uniform(-1.5, 1.5)
-            v, a, j = c.first_derivative(t), c.second_derivative(t), c.third_derivative(t)
-            speed2 = v.norm2()
-            assert curvature(c, t) == (v.x * a.y - v.y * a.x) / speed2 ** 1.5
-            num = (v.x * j.y - v.y * j.x) * speed2 - 3.0 * (v.x * a.x + v.y * a.y) * (v.x * a.y - v.y * a.x)
-            assert curvature_rate(c, t) == num / speed2 ** 2.5
+            assert _outcome(curvature, c, t) == _outcome(kappa, t)
+            assert _outcome(curvature_rate, c, t) == _outcome(kappa_rate, t)
+            if degree == 0:
+                assert _outcome(curvature, c, t) is ZeroSpeed
+
+    @pytest.mark.parametrize("knots", ["uniform", "chord"])
+    def test_segment_integrals_equal_quadrature_of_the_formulas(self, knots):
+        ks = uniform_knots(4) if knots == "uniform" else chord_length_knots(POINT_SET_1)
+        mid = middle_segment_index(4)
+        cases = [(build_spline(POINT_SET_1, ks, method).segment_evaluator(mid), ks[mid], ks[mid + 1])
+                 for _, method in COMPARISON_METHODS]
+        rng = np.random.default_rng(89)
+        cases += [_near_cusp_segment(rng, knots) for _ in range(4)]
+        for c, t0, t1 in cases:
+            kappa, kappa_rate = _reference_fns(c)
+            assert segment_energy(c, t0, t1) == _adaptive(lambda t: kappa(t) ** 2, t0, t1, DEFAULT_QUADRATURE)
+            assert segment_variation(c, t0, t1) == _adaptive(lambda t: kappa_rate(t) ** 2, t0, t1,
+                                                             DEFAULT_QUADRATURE)
+
+    def test_degree_four_raises(self):
+        quartic = PolyCurve([Vec2(0.0, 0.0), Vec2(1.0, 0.0), Vec2(0.0, 1.0), Vec2(0.5, 0.0), Vec2(0.0, 0.1)])
+        for fn in (curvature, curvature_rate):
+            with pytest.raises(DomainError):
+                fn(quartic, 0.5)
+        for integral in (segment_energy, segment_variation):
+            with pytest.raises(DomainError):
+                integral(quartic, 0.0, 1.0)
 
 
 class TestCurvatureRate:
@@ -111,6 +170,15 @@ class TestSegmentIntegrals:
     def test_bad_interval(self):
         with pytest.raises(ValueError):
             segment_energy(parabola(), 1.0, 0.0)
+
+    def test_cusp_raises_zero_speed(self):
+        # Velocity (3 - 12 s + 12 s^2, 1 - 2 s) vanishes at s = 1/2, the centre node of the rule.
+        cusp = HermiteSpline(points=(Vec2(0.0, 0.0), Vec2(1.0, 0.0)), knots=(0.0, 1.0),
+                             tangents=(Vec2(3.0, 1.0), Vec2(3.0, -1.0)), method=CatmullRom())
+        c = cusp.segment_evaluator(0)
+        for integral in (segment_energy, segment_variation):
+            with pytest.raises(ZeroSpeed):
+                integral(c, 0.0, 1.0)
 
     def test_additivity(self):
         c = parabola(1.3, -0.4, 0.2)

@@ -264,6 +264,18 @@ class TestSegmentEvaluator:
                 rate_fd = (curvature(ev, t + h) - curvature(ev, t - h)) / (2 * h)
                 assert curvature_rate(ev, t) == pytest.approx(rate_fd, rel=1e-6, abs=1e-8)
 
+    @pytest.mark.parametrize("method", ALL_METHODS)
+    def test_coefficients_equal_the_vec2_hermite_form(self, method):
+        rng = np.random.default_rng(101)
+        pts = [Vec2(*p) for p in rng.uniform(-3.0, 3.0, (12, 2))]
+        for knots in (uniform_knots(12), chord_length_knots(pts)):
+            sp = build_spline(pts, knots, method)
+            for i in range(sp.segment_count):
+                p_a, p_b, span = pts[i], pts[i + 1], knots[i + 1] - knots[i]
+                m_a, m_b = sp.tangents[i] * span, sp.tangents[i + 1] * span
+                assert sp.segment_evaluator(i).coefficients == (
+                    p_a, m_a, (p_b - p_a) * 3.0 - m_a * 2.0 - m_b, (p_a - p_b) * 2.0 + m_a + m_b)
+
     def test_chord_length_knots(self):
         pts = [Vec2(0, 0), Vec2(3, 4), Vec2(6, 8)]
         assert chord_length_knots(pts) == (0.0, 5.0, 10.0)
